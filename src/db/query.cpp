@@ -398,6 +398,13 @@ std::vector<query_plan> make_plans(std::span<const be_string2d> queries,
   return plans;
 }
 
+single_plan::single_plan(const be_string2d& query_strings,
+                         const query_options& options)
+    : plans(make_plans({&query_strings, 1}, options)) {
+  if (pruning_applies(options)) histograms = &plans[0].histograms;
+  if (options.transform_invariant) transforms = &plans[0].transforms;
+}
+
 encoded_queries encode_queries(std::span<const symbolic_image> queries,
                                unsigned threads) {
   encoded_queries out;

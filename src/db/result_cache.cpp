@@ -97,17 +97,15 @@ cache_key make_cache_key(const be_string2d& query_strings,
   // smallest serialized variant.
   std::string canonical_strings;
   if (options.transform_invariant) {
-    const query_transforms variants = precompute_transforms(query_strings);
-    std::size_t best = 0;
-    canonical_strings = serialize_strings(variants.strings[0]);
-    for (std::size_t i = 1; i < variants.strings.size(); ++i) {
-      std::string candidate = serialize_strings(variants.strings[i]);
+    canonical_strings = serialize_strings(query_strings);
+    key.canon = dihedral::identity;
+    for (const dihedral t : std::span(all_dihedral).subspan(1)) {
+      std::string candidate = serialize_strings(apply(t, query_strings));
       if (candidate < canonical_strings) {
         canonical_strings = std::move(candidate);
-        best = i;
+        key.canon = t;
       }
     }
-    key.canon = all_dihedral[best];
   } else {
     canonical_strings = serialize_strings(query_strings);
     key.canon = dihedral::identity;

@@ -74,6 +74,21 @@ struct query_plan {
 [[nodiscard]] std::vector<query_plan> make_plans(
     std::span<const be_string2d> queries, const query_options& options);
 
+// One query's plan, built once and shared by every scan_shard call of the
+// query (the shards of a fan-out, the chunks of a server request): the
+// batch machinery over a one-element span, so the engagement rules live in
+// one place. Each pointer is null when its piece does not engage — the
+// form scan_shard takes.
+struct single_plan {
+  std::vector<query_plan> plans;
+  const be_histogram2d* histograms = nullptr;
+  const query_transforms* transforms = nullptr;
+
+  single_plan(const be_string2d& query_strings, const query_options& options);
+  single_plan(const single_plan&) = delete;
+  single_plan& operator=(const single_plan&) = delete;
+};
+
 // Encoded strings and distinct symbols for a batch of symbolic queries,
 // computed in parallel across the batch — shared by the flat and sharded
 // search_batch overloads.

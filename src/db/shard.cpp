@@ -339,23 +339,6 @@ std::vector<query_result> fanout_search(
   return pruned ? shared->take() : merge_parts(parts, options);
 }
 
-// Per-query state a single fan-out needs at most once: the batch plan
-// machinery over a one-element span, so the engagement rules live in one
-// place (detail::make_plans).
-struct fanout_plan {
-  std::vector<detail::query_plan> plans;
-  const be_histogram2d* histograms_ptr = nullptr;
-  const query_transforms* transforms_ptr = nullptr;
-
-  fanout_plan(const be_string2d& query_strings, const query_options& options)
-      : plans(detail::make_plans({&query_strings, 1}, options)) {
-    if (detail::pruning_applies(options)) {
-      histograms_ptr = &plans[0].histograms;
-    }
-    if (options.transform_invariant) transforms_ptr = &plans[0].transforms;
-  }
-};
-
 }  // namespace
 
 std::vector<query_result> search(const sharded_database& db,
@@ -363,9 +346,9 @@ std::vector<query_result> search(const sharded_database& db,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  const fanout_plan plan(query_strings, options);
+  const detail::single_plan plan(query_strings, options);
   return fanout_search(db, query_strings, query_symbols, nullptr,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
+                       plan.histograms, plan.transforms, options,
                        stats);
 }
 
@@ -384,9 +367,9 @@ std::vector<query_result> search(const sharded_database& db,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  const fanout_plan plan(query_strings, options);
+  const detail::single_plan plan(query_strings, options);
   return fanout_search(db, query_strings, query_symbols, nullptr,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
+                       plan.histograms, plan.transforms, options,
                        stats, &snap);
 }
 
@@ -415,9 +398,9 @@ std::vector<query_result> search_candidates(const sharded_database& db,
     // record() is the (shard, local) lookup; its id field IS the local id.
     local[s].push_back(db.record(id).id);
   }
-  const fanout_plan plan(query_strings, options);
-  return fanout_search(db, query_strings, {}, &local, plan.histograms_ptr,
-                       plan.transforms_ptr, options, stats);
+  const detail::single_plan plan(query_strings, options);
+  return fanout_search(db, query_strings, {}, &local, plan.histograms,
+                       plan.transforms, options, stats);
 }
 
 std::vector<query_result> search_local_candidates(
@@ -436,9 +419,9 @@ std::vector<query_result> search_local_candidates(
       }
     }
   }
-  const fanout_plan plan(query_strings, options);
+  const detail::single_plan plan(query_strings, options);
   return fanout_search(db, query_strings, {}, &local_candidates,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
+                       plan.histograms, plan.transforms, options,
                        stats);
 }
 
@@ -459,9 +442,9 @@ std::vector<query_result> search_local_candidates(
       }
     }
   }
-  const fanout_plan plan(query_strings, options);
+  const detail::single_plan plan(query_strings, options);
   return fanout_search(db, query_strings, {}, &local_candidates,
-                       plan.histograms_ptr, plan.transforms_ptr, options,
+                       plan.histograms, plan.transforms, options,
                        stats, &snap);
 }
 

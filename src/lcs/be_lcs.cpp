@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "lcs/kernel.hpp"
+#include "lcs/kernel_detail.hpp"
 
 namespace bes {
 
@@ -30,6 +31,12 @@ lcs_context::lcs_context(const lcs_kernel& kernel) : kernel_(&kernel) {}
 lcs_context& lcs_context::thread_local_instance() {
   thread_local lcs_context ctx;
   return ctx;
+}
+
+prepared_axis::prepared_axis(std::span<const token> tokens)
+    : tokens_(tokens.begin(), tokens.end()),
+      mask_words_(lcs_detail::mask_table_words(tokens.size())) {
+  lcs_detail::build_mask_table(tokens_, mask_words_.data());
 }
 
 be_lcs_table be_lcs_fill(std::span<const token> q, std::span<const token> d) {
@@ -90,6 +97,11 @@ std::size_t be_lcs_length(std::span<const token> q, std::span<const token> d,
   });
 }
 
+std::size_t be_lcs_length(const prepared_axis& q, std::span<const token> d,
+                          lcs_context& ctx) {
+  return ctx.kernel().prepared_signed(d, q, ctx);
+}
+
 std::size_t be_lcs_length_bounded(std::span<const token> q,
                                   std::span<const token> d,
                                   std::size_t min_needed, lcs_context& ctx) {
@@ -109,6 +121,11 @@ std::size_t be_lcs_length_exact(std::span<const token> q,
   return shorter_cols(q, d, [&](auto rows, auto cols) {
     return ctx.kernel().exact_length(rows, cols, 0, ctx);
   });
+}
+
+std::size_t be_lcs_length_exact(const prepared_axis& q,
+                                std::span<const token> d, lcs_context& ctx) {
+  return ctx.kernel().prepared_exact(d, q, ctx);
 }
 
 std::size_t be_lcs_length_exact_bounded(std::span<const token> q,

@@ -83,6 +83,30 @@ class lcs_context {
   std::vector<std::uint64_t> words_;
 };
 
+// A query axis string prepared for scoring against many candidates: its
+// tokens plus the bit-parallel kernels' match-mask table over them (one
+// word-packed column mask per distinct token), built once in O(|q|) so each
+// candidate skips the per-pair table build. Immutable once built: one
+// instance may serve concurrent scans, each with its own lcs_context.
+class prepared_axis {
+ public:
+  prepared_axis() = default;
+  explicit prepared_axis(std::span<const token> tokens);
+
+  [[nodiscard]] std::span<const token> tokens() const noexcept {
+    return tokens_;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return tokens_.size(); }
+  // The match-mask table in the bit-parallel kernel's flat layout.
+  [[nodiscard]] std::span<const std::uint64_t> mask_words() const noexcept {
+    return mask_words_;
+  }
+
+ private:
+  std::vector<token> tokens_;
+  std::vector<std::uint64_t> mask_words_;
+};
+
 // The LCS length inferring table W; (m+1) x (n+1) signed cells.
 class be_lcs_table {
  public:
@@ -120,6 +144,13 @@ class be_lcs_table {
                                         std::span<const token> d,
                                         lcs_context& ctx);
 
+// Prepared-query form (no band): the same length as
+// be_lcs_length(q.tokens(), d, ctx) on every kernel, without rebuilding the
+// query's match-mask table per candidate.
+[[nodiscard]] std::size_t be_lcs_length(const prepared_axis& q,
+                                        std::span<const token> d,
+                                        lcs_context& ctx);
+
 // Early-exit band variant: identical to be_lcs_length whenever the true
 // length is >= min_needed. When the best still-achievable length (current
 // row max + one per remaining row, an admissible bound) drops below
@@ -146,6 +177,11 @@ class be_lcs_table {
 [[nodiscard]] std::size_t be_lcs_length_exact(std::span<const token> q,
                                               std::span<const token> d);
 [[nodiscard]] std::size_t be_lcs_length_exact(std::span<const token> q,
+                                              std::span<const token> d,
+                                              lcs_context& ctx);
+
+// Prepared-query form; equals be_lcs_length_exact(q.tokens(), d, ctx).
+[[nodiscard]] std::size_t be_lcs_length_exact(const prepared_axis& q,
                                               std::span<const token> d,
                                               lcs_context& ctx);
 

@@ -14,15 +14,18 @@ namespace {
 std::vector<lcs_kernel> build_registry() {
   namespace d = lcs_detail;
   std::vector<lcs_kernel> kernels;
-  kernels.push_back(
-      {"scalar", &d::scalar_signed, &d::scalar_exact, &d::scalar_weighted});
+  kernels.push_back({"scalar", &d::scalar_signed, &d::scalar_exact,
+                     &d::scalar_weighted, &d::scalar_prepared_signed,
+                     &d::scalar_prepared_exact});
   // Pure uint64_t — portable to every build; the weighted recurrence has no
   // bit-parallel form (real-valued cells), so it stays scalar here.
   kernels.push_back({"bitparallel", &d::bitparallel_exact,
-                     &d::bitparallel_exact, &d::scalar_weighted});
+                     &d::bitparallel_exact, &d::scalar_weighted,
+                     &d::bitparallel_prepared, &d::bitparallel_prepared});
   if (d::avx2_available()) {
     kernels.push_back({"avx2", &d::bitparallel_exact, &d::bitparallel_exact,
-                       &d::avx2_weighted});
+                       &d::avx2_weighted, &d::bitparallel_prepared,
+                       &d::bitparallel_prepared});
   }
   return kernels;
 }

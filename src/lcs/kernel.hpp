@@ -19,10 +19,10 @@
 //
 // Contract: every registered kernel returns bit-identical lengths, scores
 // and early-exit band behavior for the exact/weighted entry points, and
-// bit-identical *final* lengths for the signed entry point (the bit-parallel
-// variants compute the exact two-layer optimum for both; see the note in
-// kernel_bitparallel.cpp). tests/lcs_fuzz_test.cpp enforces this
-// differentially for every kernel in the registry.
+// bit-identical *final* lengths for the signed and prepared entry points
+// (the bit-parallel variants compute the exact two-layer optimum for all
+// of them; see the note in kernel_bitparallel.cpp). tests/lcs_fuzz_test.cpp
+// enforces this differentially for every kernel in the registry.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +34,7 @@
 namespace bes {
 
 class lcs_context;
+class prepared_axis;
 
 // One kernel variant. All functions take (rows, cols) PRE-ORIENTED by the
 // dispatch layer so that cols runs along the shorter string (what keeps the
@@ -59,6 +60,17 @@ struct lcs_kernel {
   // finite and in [0, 1] (validated by the entry point).
   double (*weighted)(std::span<const token> rows, std::span<const token> cols,
                      double dummy_weight, lcs_context& ctx);
+
+  // Prepared-query forms of signed_length and exact_length, unbanded: the
+  // candidate is the rows and the query the columns, whatever their
+  // lengths, so the query's match-mask table (prepared_axis) is built once
+  // per query instead of once per pair. The bit-parallel variants read that
+  // table; their exact two-layer optimum does not depend on orientation.
+  // The scalar variant orients by length as the unprepared entries do.
+  std::size_t (*prepared_signed)(std::span<const token> rows,
+                                 const prepared_axis& cols, lcs_context& ctx);
+  std::size_t (*prepared_exact)(std::span<const token> rows,
+                                const prepared_axis& cols, lcs_context& ctx);
 };
 
 // Every variant compiled into this build and runnable on this CPU, in

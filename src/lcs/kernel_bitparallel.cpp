@@ -94,19 +94,33 @@ inline u64 prop_chain(u64 p, u64 inj, u64& carry) noexcept {
 }
 
 // Match-mask table: open-addressing map from packed token keys to
-// word-packed column masks, rebuilt per (rows, cols) pair in flat context
-// scratch — no per-pair allocation once the context has warmed up.
+// word-packed column masks, in one flat block of mask_table_words() words:
+// zero-mask (words) | keys (cap, 0 = empty) | masks (cap * words). A
+// per-pair run builds it in context scratch (no per-pair allocation once
+// the context has warmed up); a prepared_axis builds it once per query.
 struct mask_table {
-  u64* keys;          // cap entries, 0 = empty
-  u64* masks;         // cap * words bits
   const u64* zero;    // words of zeros, for absent tokens
+  const u64* keys;
+  const u64* masks;
   std::size_t cap;    // power of two
   std::size_t words;
+  unsigned shift;     // hash bits -> slot index
+
+  static std::size_t cap_for(std::size_t c_count) noexcept {
+    return std::bit_ceil(std::max<std::size_t>(2 * c_count, 4));
+  }
+
+  mask_table(std::size_t c_count, const u64* storage) noexcept
+      : zero(storage),
+        keys(storage + (c_count + 63) / 64),
+        masks(keys + cap_for(c_count)),
+        cap(cap_for(c_count)),
+        words((c_count + 63) / 64),
+        shift(64 - static_cast<unsigned>(std::countr_zero(cap))) {}
 
   [[nodiscard]] std::size_t slot_of(u64 key) const noexcept {
-    std::size_t s =
-        static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
-                                 (64 - std::countr_zero(cap)));
+    std::size_t s = static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ull) >> shift);
     while (keys[s] != 0 && keys[s] != key) s = (s + 1) & (cap - 1);
     return s;
   }
@@ -117,42 +131,26 @@ struct mask_table {
   }
 };
 
-template <bool banded>
-std::size_t bitparallel_run(std::span<const token> rows,
-                            std::span<const token> cols,
-                            std::size_t min_needed, lcs_context& ctx) {
+// The row loop over `state` (V | g | R', table.words each). With
+// one_word = true the row is a single word known at compile time: the word
+// loop and its cross-word carries fold away and the state lives in
+// registers (`state` is unused) — the common case of scene-sized axes.
+template <bool banded, bool one_word>
+std::size_t bitparallel_rows(std::span<const token> rows,
+                             std::size_t c_count, const mask_table& table,
+                             std::size_t min_needed, u64* state) {
   const std::size_t r_count = rows.size();
-  const std::size_t c_count = cols.size();
-  if (r_count == 0 || c_count == 0) return 0;
-  if (banded && min_needed > c_count) return c_count;  // lcs <= min(m, n)
-
-  const std::size_t words = (c_count + 63) / 64;
-  const std::size_t cap = std::bit_ceil(std::max<std::size_t>(2 * c_count, 4));
-  // Scratch layout: V | g | R' | zero-mask | keys | masks.
-  std::span<u64> scratch =
-      ctx.word_cells((4 + cap) * words + cap);
-  u64* v = scratch.data();
+  const std::size_t words = one_word ? 1 : table.words;
+  u64 local[3];
+  u64* v = one_word ? local : state;
   u64* g = v + words;
   u64* rp = g + words;
-  u64* zero = rp + words;
-  mask_table table{zero + words, zero + words + cap, zero, cap, words};
 
   // Row 0: no increments (V all ones, tail included so the tail never
   // produces phantom zeros), no steps, nothing ends in a dummy.
   std::fill(v, v + words, ~u64{0});
-  std::fill(g, g + 3 * words, u64{0});  // g, R', zero-mask
-  std::fill(table.keys, table.keys + cap, u64{0});
+  std::fill(g, g + 2 * words, u64{0});  // g, R'
 
-  for (std::size_t j = 0; j < c_count; ++j) {
-    const u64 key = token_key(cols[j]);
-    const std::size_t s = table.slot_of(key);
-    if (table.keys[s] == 0) {
-      table.keys[s] = key;
-      std::fill(table.masks + s * words, table.masks + (s + 1) * words,
-                u64{0});
-    }
-    table.masks[s * words + j / 64] |= u64{1} << (j % 64);
-  }
   const u64* dummy_mask = table.find(token_key(token::dummy()));
   const u64 tail_mask = c_count % 64 == 0
                             ? ~u64{0}
@@ -218,12 +216,61 @@ std::size_t bitparallel_run(std::span<const token> rows,
 
 }  // namespace
 
+std::size_t mask_table_words(std::size_t cols) noexcept {
+  const std::size_t words = (cols + 63) / 64;
+  return words + mask_table::cap_for(cols) * (1 + words);
+}
+
+void build_mask_table(std::span<const token> cols, u64* storage) noexcept {
+  const mask_table table(cols.size(), storage);
+  u64* keys = storage + table.words;
+  u64* masks = keys + table.cap;
+  std::fill(storage, masks, u64{0});  // zero-mask, keys
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    const u64 key = token_key(cols[j]);
+    const std::size_t s = table.slot_of(key);
+    if (keys[s] == 0) {
+      keys[s] = key;
+      std::fill(masks + s * table.words, masks + (s + 1) * table.words,
+                u64{0});
+    }
+    masks[s * table.words + j / 64] |= u64{1} << (j % 64);
+  }
+}
+
 std::size_t bitparallel_exact(std::span<const token> rows,
                               std::span<const token> cols,
                               std::size_t min_needed, lcs_context& ctx) {
+  const std::size_t c_count = cols.size();
+  if (rows.empty() || c_count == 0) return 0;
+  if (min_needed > c_count) return c_count;  // lcs <= min(m, n)
+  // Scratch layout: V | g | R' | match-mask table.
+  const std::size_t words = (c_count + 63) / 64;
+  u64* state = ctx.word_cells(3 * words + mask_table_words(c_count)).data();
+  build_mask_table(cols, state + 3 * words);
+  const mask_table table(c_count, state + 3 * words);
+  if (words == 1) {
+    return min_needed == 0
+               ? bitparallel_rows<false, true>(rows, c_count, table, 0, state)
+               : bitparallel_rows<true, true>(rows, c_count, table,
+                                              min_needed, state);
+  }
   return min_needed == 0
-             ? bitparallel_run<false>(rows, cols, 0, ctx)
-             : bitparallel_run<true>(rows, cols, min_needed, ctx);
+             ? bitparallel_rows<false, false>(rows, c_count, table, 0, state)
+             : bitparallel_rows<true, false>(rows, c_count, table, min_needed,
+                                             state);
+}
+
+std::size_t bitparallel_prepared(std::span<const token> rows,
+                                 const prepared_axis& cols, lcs_context& ctx) {
+  const std::size_t c_count = cols.size();
+  if (rows.empty() || c_count == 0) return 0;
+  const mask_table table(c_count, cols.mask_words().data());
+  if (table.words == 1) {
+    return bitparallel_rows<false, true>(rows, c_count, table, 0, nullptr);
+  }
+  u64* state = ctx.word_cells(3 * table.words).data();
+  return bitparallel_rows<false, false>(rows, c_count, table, 0, state);
 }
 
 }  // namespace bes::lcs_detail

@@ -134,6 +134,22 @@ std::size_t scalar_exact(std::span<const token> rows,
                          : exact_rolling<true>(rows, cols, min_needed, ctx);
 }
 
+std::size_t scalar_prepared_signed(std::span<const token> rows,
+                                   const prepared_axis& cols,
+                                   lcs_context& ctx) {
+  const std::span<const token> query = cols.tokens();
+  return query.size() >= rows.size() ? scalar_signed(query, rows, 0, ctx)
+                                     : scalar_signed(rows, query, 0, ctx);
+}
+
+std::size_t scalar_prepared_exact(std::span<const token> rows,
+                                  const prepared_axis& cols,
+                                  lcs_context& ctx) {
+  const std::span<const token> query = cols.tokens();
+  return query.size() >= rows.size() ? scalar_exact(query, rows, 0, ctx)
+                                     : scalar_exact(rows, query, 0, ctx);
+}
+
 // Rolling form of the weighted two-layer DP. No early-exit band: nothing on
 // the query path thresholds weighted scores.
 double scalar_weighted(std::span<const token> rows, std::span<const token> cols,

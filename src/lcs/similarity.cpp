@@ -78,6 +78,14 @@ std::size_t axis_lcs_bounded(std::span<const token> q, std::span<const token> d,
              : be_lcs_length_bounded(q, d, min_needed, ctx);
 }
 
+double prepared_similarity(const prepared_axis& q, std::span<const token> d,
+                           const similarity_options& options,
+                           lcs_context& ctx) {
+  const std::size_t lcs = options.exact_lcs ? be_lcs_length_exact(q, d, ctx)
+                                            : be_lcs_length(q, d, ctx);
+  return normalize(lcs, q.size(), d.size(), options.norm);
+}
+
 }  // namespace
 
 double axis_similarity(std::span<const token> q, std::span<const token> d,
@@ -135,9 +143,12 @@ double similarity_bounded(const be_string2d& q, const be_string2d& d,
 
 query_transforms precompute_transforms(const be_string2d& q) {
   query_transforms out;
-  for (dihedral t : all_dihedral) {
-    out.strings[static_cast<std::size_t>(t)] = apply(t, q);
-  }
+  out.axes[query_transforms::x] = prepared_axis(q.x.span());
+  out.axes[query_transforms::y] = prepared_axis(q.y.span());
+  out.axes[query_transforms::x_reversed] =
+      prepared_axis(reverse_swap(q.x).span());
+  out.axes[query_transforms::y_reversed] =
+      prepared_axis(reverse_swap(q.y).span());
   return out;
 }
 
@@ -152,17 +163,24 @@ transform_match best_transform_similarity(const query_transforms& q,
                                           const be_string2d& d,
                                           const similarity_options& options,
                                           lcs_context& ctx) {
+  // Every variant's axis scores are among these 8: d.x and d.y against
+  // each prepared axis, normalized exactly as similarity() normalizes them
+  // (reverse_swap preserves length), so each variant's score is
+  // bit-identical to similarity(apply(t, q), d).
+  std::array<double, 4> sx{};
+  std::array<double, 4> sy{};
+  for (std::size_t a = 0; a < q.axes.size(); ++a) {
+    sx[a] = prepared_similarity(q.axes[a], d.x.span(), options, ctx);
+    sy[a] = prepared_similarity(q.axes[a], d.y.span(), options, ctx);
+  }
+  // Strict-greater scan in all_dihedral order: ties keep the earlier
+  // transform.
   transform_match best;
   best.score = -1.0;
   for (dihedral t : all_dihedral) {
-    const be_string2d& variant = q.strings[static_cast<std::size_t>(t)];
-    // Once one variant is scored, the rest only matter if they beat it, so
-    // they run under the early-exit band at the current best. Ties keep the
-    // earlier transform, exactly like an unbanded strict-greater scan.
-    const double score =
-        best.score < 0.0
-            ? similarity(variant, d, options, ctx)
-            : similarity_bounded(variant, d, options, best.score, ctx);
+    const query_transforms::variant v =
+        query_transforms::variants[static_cast<std::size_t>(t)];
+    const double score = 0.5 * (sx[v.x] + sy[v.y]);
     if (score > best.score) {
       best = transform_match{t, score};
     }

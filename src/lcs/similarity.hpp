@@ -84,15 +84,40 @@ struct transform_match {
   double score = 0.0;
 };
 
-// The 8 dihedral variants of a query's BE-strings, indexed by
-// static_cast<std::size_t>(dihedral). Build this ONCE per search and reuse
-// it across database records: transforming the query is O(|q|) string work
-// that must not be repeated per candidate.
+// A transform-invariant query, prepared once per search. Each of the 8
+// dihedral variants takes its x and y strings from the same 4 axis strings
+// — x, y, reverse_swap(x) and reverse_swap(y) (paper §4-5: rotation and
+// reflection by string reversal alone) — so the query keeps just those 4,
+// each as a prepared_axis, plus the fixed table of which two each variant
+// uses. A candidate then costs 8 axis LCS runs (its x and y against each
+// of the 4 strings) instead of 8 whole 2D comparisons. Build this ONCE per
+// search and reuse it across database records, never per candidate.
 struct query_transforms {
-  std::array<be_string2d, all_dihedral.size()> strings;
+  enum axis : std::uint8_t { x, y, x_reversed, y_reversed };
+  struct variant {
+    axis x, y;
+  };
+  // The axes of apply(t, q), indexed by static_cast<std::size_t>(t);
+  // mirrors apply() in core/transform.cpp.
+  static constexpr std::array<variant, all_dihedral.size()> variants = {{
+      {x, y},                    // identity
+      {y, x_reversed},           // rot90
+      {x_reversed, y_reversed},  // rot180
+      {y_reversed, x},           // rot270
+      {x, y_reversed},           // flip_x
+      {x_reversed, y},           // flip_y
+      {y, x},                    // transpose
+      {y_reversed, x_reversed},  // anti_transpose
+  }};
+
+  std::array<prepared_axis, 4> axes;
 };
 [[nodiscard]] query_transforms precompute_transforms(const be_string2d& q);
 
+// The best variant: bit-identical to scoring similarity(apply(t, q), d) for
+// each t in all_dihedral order, a later variant replacing the best only on
+// a strictly higher score (ties keep the earlier transform). Runs exactly 8
+// unbanded axis LCS runs per call.
 [[nodiscard]] transform_match best_transform_similarity(
     const query_transforms& q, const be_string2d& d,
     const similarity_options& options = {});
@@ -100,8 +125,8 @@ struct query_transforms {
     const query_transforms& q, const be_string2d& d,
     const similarity_options& options, lcs_context& ctx);
 
-// Single-pair convenience: precomputes the 8 variants internally. Scans over
-// many records should hoist precompute_transforms out of the loop instead.
+// Single-pair convenience: prepares the query internally. Scans over many
+// records should hoist precompute_transforms out of the loop instead.
 [[nodiscard]] transform_match best_transform_similarity(
     const be_string2d& q, const be_string2d& d,
     const similarity_options& options = {});

@@ -289,6 +289,9 @@ result_msg shard_server::run_query(connection&, pending_query& q) {
     // earned in chunk 0 keeps pruning chunk 9 — plus whatever floor the
     // coordinator gossips in between.
     detail::shared_topk shared(opts.top_k, opts.min_score);
+    // Pruner histograms and transform-invariant query tables are built once
+    // per request, not once per chunk.
+    const detail::single_plan plan(q.msg.query, opts);
     std::vector<query_result> parts;
     bool partial = false;
 
@@ -310,8 +313,9 @@ result_msg shard_server::run_query(connection&, pending_query& q) {
       const std::span<const image_id> slice(ids.data() + begin, end - begin);
       search_stats cs;
       std::vector<query_result> part =
-          detail::scan_shard(db_, q.msg.query, slice, globals, nullptr,
-                             nullptr, opts, pruned ? &shared : nullptr, &cs);
+          detail::scan_shard(db_, q.msg.query, slice, globals,
+                             plan.histograms, plan.transforms, opts,
+                             pruned ? &shared : nullptr, &cs);
       out.stats.scanned += cs.scanned;
       out.stats.scored += cs.scored;
       out.stats.pruned += cs.pruned;

@@ -166,6 +166,42 @@ TEST(CacheStore, ReReferencedEntrySurvivesAOneOffBurst) {
       << "the segmented LRU let a one-off burst flush the hot entry";
 }
 
+TEST(CacheKey, TransformInvariantKeyBytesArePinned) {
+  // Cache keys are persisted nowhere, but every process of a fleet must
+  // derive the same key for the same request, so the canonicalization of a
+  // transform-invariant query is pinned byte for byte. The active kernel's
+  // name is spliced out (it differs per CPU); everything else is FNV-1a
+  // digested and compared with the value recorded before the query-side
+  // transform precompute changed shape.
+  alphabet names;
+  const symbolic_image query =
+      apply(dihedral::rot90, testsupport::figure1_scene(names));
+  query_options qopts;
+  qopts.top_k = 7;
+  qopts.transform_invariant = true;
+  const cache_key key =
+      make_cache_key(encode(query), distinct_symbols(query), qopts,
+                     cache_scope::flat, 1, 0);
+
+  // "BQK1", scope u8, shard_count u32, ring_replicas u32, then the kernel
+  // name as u32 length + bytes.
+  constexpr std::size_t kernel_at = 4 + 1 + 4 + 4;
+  const std::string_view kernel = active_lcs_kernel().name;
+  ASSERT_GE(key.bytes.size(), kernel_at + 4 + kernel.size());
+  ASSERT_EQ(key.bytes.substr(kernel_at + 4, kernel.size()), kernel);
+  const std::string spliced =
+      key.bytes.substr(0, kernel_at) +
+      key.bytes.substr(kernel_at + 4 + kernel.size());
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  for (const char c : spliced) {
+    digest ^= static_cast<unsigned char>(c);
+    digest *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(spliced.size(), 258u);
+  EXPECT_EQ(digest, 16182220814618422328ull);
+  EXPECT_EQ(key.canon, dihedral::anti_transpose);
+}
+
 // --------------------------------------------------- flat equivalence
 
 TEST(CacheSearch, FlatMissThenHitBitIdenticalForEveryConfig) {

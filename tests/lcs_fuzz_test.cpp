@@ -13,10 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/encoder.hpp"
+#include "core/transform.hpp"
 #include "lcs/be_lcs.hpp"
+#include "lcs/similarity.hpp"
 #include "util/rng.hpp"
 #include "workload/scene_gen.hpp"
 
@@ -232,6 +236,189 @@ TEST(KernelDispatch, RegistryAlwaysHasScalarFirst) {
   bool found = false;
   for (const lcs_kernel& k : kernels) found |= &k == &active;
   EXPECT_TRUE(found);
+}
+
+// ------------------------------ prepared query axes vs per-pair kernels
+
+TEST_P(KernelDispatchFuzz, PreparedAxisLengthMatchesUnprepared) {
+  // A prepared_axis lays the query along the columns whatever the lengths,
+  // reusing its match-mask table; the per-pair entries orient by length and
+  // rebuild the table. Every kernel must return the same lengths either
+  // way, across the 64-cell word packing and for empty strings.
+  rng r(GetParam() * 97 + 3);
+  constexpr std::size_t kLens[] = {0, 1, 7, 63, 64, 65, 127, 128, 129};
+  for (const std::size_t qlen : kLens) {
+    const std::vector<token> q =
+        shaped_tokens(r, qlen, static_cast<int>(qlen % 3));
+    const prepared_axis prepared(q);
+    ASSERT_EQ(prepared.size(), q.size());
+    for (const std::size_t dlen : {std::size_t{0}, std::size_t{1},
+                                   qlen / 2 + 1, qlen + 1, 2 * qlen + 3}) {
+      const std::vector<token> d =
+          shaped_tokens(r, dlen, static_cast<int>(dlen % 3));
+      for (const lcs_kernel& k : registered_lcs_kernels()) {
+        lcs_context ctx(k);
+        EXPECT_EQ(be_lcs_length(prepared, d, ctx), be_lcs_length(q, d, ctx))
+            << "kernel " << k.name << " |q| " << qlen << " |d| " << dlen;
+        EXPECT_EQ(be_lcs_length_exact(prepared, d, ctx),
+                  be_lcs_length_exact(q, d, ctx))
+            << "kernel " << k.name << " |q| " << qlen << " |d| " << dlen;
+      }
+    }
+  }
+}
+
+// -------------------------- transform-invariant scoring vs 8 whole variants
+
+// The definition best_transform_similarity must reproduce: every dihedral
+// variant of the query scored as a whole 2D string, in all_dihedral order,
+// a later variant replacing the best only on a strictly higher score.
+transform_match reference_best_transform(const be_string2d& q,
+                                         const be_string2d& d,
+                                         const similarity_options& options,
+                                         lcs_context& ctx) {
+  transform_match best;
+  best.score = -1.0;
+  for (const dihedral t : all_dihedral) {
+    const double score = similarity(apply(t, q), d, options, ctx);
+    if (score > best.score) best = transform_match{t, score};
+  }
+  return best;
+}
+
+std::vector<similarity_options> every_similarity_option() {
+  std::vector<similarity_options> out;
+  for (const norm_kind norm : {norm_kind::query, norm_kind::max_len,
+                               norm_kind::dice, norm_kind::min_len}) {
+    for (const bool exact : {false, true}) {
+      similarity_options o;
+      o.norm = norm;
+      o.exact_lcs = exact;
+      out.push_back(o);
+    }
+  }
+  return out;
+}
+
+void expect_best_transform_matches_reference(const be_string2d& q,
+                                             const be_string2d& d,
+                                             const std::string& label) {
+  const query_transforms prepared = precompute_transforms(q);
+  for (const similarity_options& options : every_similarity_option()) {
+    for (const lcs_kernel& k : registered_lcs_kernels()) {
+      lcs_context ctx(k);
+      const transform_match want = reference_best_transform(q, d, options, ctx);
+      const transform_match got =
+          best_transform_similarity(prepared, d, options, ctx);
+      const std::string where =
+          label + " kernel " + std::string(k.name) + " norm " +
+          std::to_string(static_cast<int>(options.norm)) + " exact " +
+          std::to_string(options.exact_lcs);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.score),
+                std::bit_cast<std::uint64_t>(want.score))
+          << where << ": " << got.score << " vs " << want.score;
+      EXPECT_EQ(got.transform, want.transform) << where;
+    }
+  }
+}
+
+be_string2d random_be_strings(rng& r, alphabet& names, std::size_t objects,
+                              int grid) {
+  scene_params params;
+  params.object_count = objects;
+  params.symbol_pool = 6;
+  params.grid = grid;
+  return encode(random_scene(params, r, names));
+}
+
+class TransformSimilarityFuzz
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TransformSimilarityFuzz, MatchesWholeVariantReference) {
+  // Well-formed BE-strings from 3 size classes — every axis under 64 tokens,
+  // over 64 (two bit-parallel words) and over 128 (three) — paired in both
+  // orders so the query is sometimes the shorter string and sometimes the
+  // longer; grid snapping adds coincident boundaries.
+  alphabet names;
+  rng r(GetParam() * 7919 + 5);
+  const int grid = GetParam() % 2 == 0 ? 8 : 0;
+  const be_string2d small = random_be_strings(r, names, 6, grid);
+  const be_string2d medium = random_be_strings(r, names, 28, grid);
+  const be_string2d large = random_be_strings(r, names, 56, grid);
+  ASSERT_GT(std::min(medium.x.size(), medium.y.size()), 64u);
+  ASSERT_GT(std::min(large.x.size(), large.y.size()), 128u);
+  const be_string2d* const strings[] = {&small, &medium, &large};
+  const char* const names_of[] = {"small", "medium", "large"};
+  for (std::size_t a = 0; a < 3; ++a) {
+    for (std::size_t b = 0; b < 3; ++b) {
+      expect_best_transform_matches_reference(
+          *strings[a], *strings[b],
+          std::string(names_of[a]) + "/" + names_of[b] + " seed " +
+              std::to_string(GetParam()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TransformSimilarityFuzz,
+                         ::testing::Range<std::uint64_t>(0, 12));
+
+TEST(TransformSimilarityFuzz, EmptyAndOneTokenAxes) {
+  // Degenerate axes: an empty axis normalizes to 0 under every norm, and a
+  // one-token axis is its own reversal.
+  alphabet names;
+  rng r(77);
+  const be_string2d scene = random_be_strings(r, names, 5, 0);
+  const be_string2d empty{};
+  const be_string2d half_empty{scene.x, axis_string{}};
+  const be_string2d one{axis_string({token::dummy()}),
+                        axis_string({Bb(0)})};
+  const be_string2d one_end{axis_string({Be(1)}), axis_string({Bb(1)})};
+  const be_string2d* const cases[] = {&empty, &half_empty, &one, &one_end,
+                                      &scene};
+  for (std::size_t a = 0; a < std::size(cases); ++a) {
+    for (std::size_t b = 0; b < std::size(cases); ++b) {
+      expect_best_transform_matches_reference(
+          *cases[a], *cases[b],
+          "case " + std::to_string(a) + "/" + std::to_string(b));
+    }
+  }
+}
+
+TEST(TransformSimilarityFuzz, SymmetricScenesKeepTheEarliestTiedTransform) {
+  // Scenes invariant under several dihedral elements: those variants score
+  // identically, so the answer's transform is decided purely by the
+  // strict-greater tie rule.
+  alphabet names;
+  const symbol_id a = names.intern("A");
+  const symbol_id b = names.intern("B");
+  symbolic_image centered(12, 12);  // invariant under all 8 elements
+  centered.add(a, rect::checked(4, 8, 4, 8));
+  symbolic_image diagonal(12, 12);  // rot180 and both diagonal flips
+  diagonal.add(a, rect::checked(1, 4, 1, 4));
+  diagonal.add(a, rect::checked(8, 11, 8, 11));
+  symbolic_image mirrored(12, 12);  // invariant under flip_y only
+  mirrored.add(a, rect::checked(1, 4, 2, 5));
+  mirrored.add(a, rect::checked(8, 11, 2, 5));
+  mirrored.add(b, rect::checked(5, 7, 7, 11));
+  symbolic_image lopsided(12, 12);  // no symmetry: a rotated probe
+  lopsided.add(a, rect::checked(1, 5, 1, 3));
+  lopsided.add(b, rect::checked(6, 11, 4, 9));
+  const be_string2d scenes[] = {
+      encode(centered), encode(diagonal), encode(mirrored), encode(lopsided),
+      apply(dihedral::rot90, encode(lopsided))};
+  for (std::size_t i = 0; i < std::size(scenes); ++i) {
+    for (std::size_t j = 0; j < std::size(scenes); ++j) {
+      expect_best_transform_matches_reference(
+          scenes[i], scenes[j],
+          "scene " + std::to_string(i) + "/" + std::to_string(j));
+    }
+  }
+  // Pin the tie rule itself: a fully symmetric query against itself scores
+  // 1 under every variant and must report the first, identity.
+  const transform_match self =
+      best_transform_similarity(scenes[0], scenes[0]);
+  EXPECT_EQ(self.score, 1.0);
+  EXPECT_EQ(self.transform, dihedral::identity);
 }
 
 // ----------------------------------------------- scoring context hygiene

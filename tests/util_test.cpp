@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <set>
 #include <stdexcept>
@@ -155,30 +158,52 @@ TEST(Parallel, ExceptionAbortsRemainingWork) {
   // failed on item 1 still paid for the other 99999. After the first throw,
   // at most a bounded handful of calls may still start (in-flight chunks
   // finish their current item; each worker checks the flag per index).
+  //
+  // The count must measure that abort check, not how long the exception
+  // takes to unwind into parallel_for's catch, where the flag goes up:
+  // siblings keep starting calls until then, and the first throw of a
+  // process (cold unwinder) can take milliseconds. So the unwinder is warmed
+  // by one throw before the measured calls, siblings pace themselves with a
+  // fixed short sleep per item, and index 0 throws only once every worker is
+  // inside a chunk — with 1024-index chunks, a worker that checked the flag
+  // only between chunks would overshoot the bound several times over.
+  try {
+    throw std::runtime_error("warm-up");
+  } catch (const std::runtime_error&) {
+  }
   constexpr std::size_t n = 100000;
   constexpr unsigned threads = 4;
-  std::atomic<std::size_t> after_throw{0};
-  std::atomic<bool> thrown{false};
-  EXPECT_THROW(
-      parallel_for(
-          n, threads,
-          [&](std::size_t i) {
-            if (thrown.load()) after_throw.fetch_add(1);
-            if (i == 0) {
-              thrown.store(true);
-              throw std::runtime_error("boom");
-            }
-            // Let the siblings hit the cursor a few times while the throw
-            // happens, without slowing the suite down.
-            std::this_thread::yield();
-          },
-          /*chunk=*/1),
-      std::runtime_error);
-  EXPECT_TRUE(thrown.load());
-  // Bounded by one in-flight item per worker plus the per-index flag check
-  // racing the store; far below the ~n calls the bug allowed. Generous
-  // factor to keep the test deterministic on slow machines.
-  EXPECT_LT(after_throw.load(), static_cast<std::size_t>(threads) * 64);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{1024}}) {
+    std::atomic<std::size_t> after_throw{0};
+    std::atomic<bool> thrown{false};
+    std::array<std::atomic<bool>, threads> started{};
+    const auto all_started = [&] {
+      return std::all_of(started.begin(), started.end(),
+                         [](const std::atomic<bool>& s) { return s.load(); });
+    };
+    EXPECT_THROW(
+        parallel_for(
+            n, threads,
+            [&](unsigned worker, std::size_t i) {
+              if (thrown.load()) after_throw.fetch_add(1);
+              started[worker].store(true);
+              if (i == 0) {
+                while (!all_started()) std::this_thread::yield();
+                thrown.store(true);
+                throw std::runtime_error("boom");
+              }
+              std::this_thread::sleep_for(std::chrono::microseconds(100));
+            },
+            chunk),
+        std::runtime_error)
+        << "chunk " << chunk;
+    EXPECT_TRUE(thrown.load()) << "chunk " << chunk;
+    // Bounded by one in-flight item per worker plus the per-index flag
+    // check racing the store; far below the ~n calls the bug allowed.
+    // Generous factor to keep the test deterministic on slow machines.
+    EXPECT_LT(after_throw.load(), static_cast<std::size_t>(threads) * 64)
+        << "chunk " << chunk;
+  }
 }
 
 TEST(Parallel, EveryChunkSizeVisitsEveryIndexExactlyOnce) {
