@@ -206,12 +206,10 @@ class hybrid_path final : public access_path {
   std::vector<image_id> generate(const path_probe& probe,
                                  access_path_stats* stats) const override {
     require_image(probe, kind());
-    hybrid_index::traversal_stats traversal;
+    hybrid_index::probe_stats scanned;
     std::vector<image_id> out = hybrid_->candidates(
-        *probe.image, probe.pad, stats != nullptr ? &traversal : nullptr);
-    if (stats != nullptr) {
-      *stats = access_path_stats{traversal.raw_hits, traversal.nodes_visited};
-    }
+        *probe.image, probe.pad, stats != nullptr ? &scanned : nullptr);
+    if (stats != nullptr) *stats = access_path_stats{scanned.raw_hits, 0};
     return out;
   }
 

@@ -1,8 +1,9 @@
 // The one candidate-generation interface behind every scan (ISSUE 7
 // tentpole, part 1). The repo grew five ways to turn a query into a
 // candidate id list — full scan, inverted symbol index, R-tree padded
-// windows, symbol ∩ window, and the fused hybrid traversal — each with its
-// own entry point that callers (and the eval harness) had to pick by hand.
+// windows, symbol ∩ window, and the per-symbol hybrid postings — each with
+// its own entry point that callers (and the eval harness) had to pick by
+// hand.
 // An access_path wraps each generator behind one interface yielding a
 // sorted, unique candidate list plus a cheap cost estimate, so the scan
 // engine (db/query.cpp, db/shard.cpp) and the cost-based planner
@@ -28,7 +29,8 @@ enum class access_path_kind {
                    // window (lossy under displacement > pad)
   combined,        // inverted_index ∩ rtree_window, materialized then
                    // intersected (db/prefilter.hpp)
-  hybrid,          // the same set as combined from ONE fused traversal
+  hybrid,          // the same set as combined from one pass over the
+                   // query symbols' {mbr, id} posting lists
                    // (db/hybrid_index.hpp)
 };
 
@@ -51,7 +53,8 @@ struct access_path_stats {
   // Raw ids the generator produced before sorting/dedup/intersection —
   // >= the returned list's size, == it only when generation is exact.
   std::size_t candidates_generated = 0;
-  // Tree nodes visited (spatial paths; 0 elsewhere).
+  // R-tree nodes visited. Always 0 today: rtree_window and combined do not
+  // count nodes, and hybrid scans flat posting lists, not a tree.
   std::size_t nodes_visited = 0;
 };
 

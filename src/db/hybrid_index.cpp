@@ -7,20 +7,6 @@ namespace bes {
 
 namespace {
 
-// Payload layout shared with spatial_index: (image id << 32) | icon index.
-constexpr rtree::payload_t pack(image_id image, std::size_t icon_index) {
-  return (static_cast<rtree::payload_t>(image) << 32) |
-         static_cast<rtree::payload_t>(icon_index);
-}
-
-constexpr image_id image_of(rtree::payload_t payload) {
-  return static_cast<image_id>(payload >> 32);
-}
-
-constexpr std::size_t icon_of(rtree::payload_t payload) {
-  return static_cast<std::size_t>(payload & 0xffffffffull);
-}
-
 rect padded(const rect& mbr, int pad) {
   return rect{interval{mbr.x.lo - pad, mbr.x.hi + pad},
               interval{mbr.y.lo - pad, mbr.y.hi + pad}};
@@ -37,55 +23,63 @@ hybrid_index::hybrid_index(const image_database& db, deferred_build_t)
 
 void hybrid_index::add_image(image_id id) {
   const db_record& rec = db_->record(id);
+  const std::vector<icon>& icons = rec.image.icons();
   std::unique_lock lock(mutex_);
-  for (std::size_t i = 0; i < rec.image.size(); ++i) {
-    const icon& obj = rec.image.icons()[i];
-    tree_.insert(obj.mbr, pack(rec.id, i), signature_of(obj.symbol));
+  // Phase 1 — all allocations: create missing lists and make room in each
+  // for every icon of this image carrying its symbol. Anything thrown here
+  // leaves only empty lists / spare capacity behind, never a posting.
+  for (const icon& obj : icons) {
+    const auto same = static_cast<std::size_t>(std::count_if(
+        icons.begin(), icons.end(),
+        [&](const icon& other) { return other.symbol == obj.symbol; }));
+    std::vector<posting>& list = lists_[obj.symbol];
+    if (list.capacity() - list.size() < same) {
+      list.reserve(std::max(list.size() + same, 2 * list.size()));
+    }
   }
+  // Phase 2 — no-throw appends into reserved capacity.
+  for (const icon& obj : icons) {
+    lists_.find(obj.symbol)->second.push_back(posting{obj.mbr, rec.id});
+  }
+  icons_ += icons.size();
+}
+
+const std::vector<hybrid_index::posting>* hybrid_index::list_of(
+    symbol_id symbol) const {
+  const auto it = lists_.find(symbol);
+  return it == lists_.end() ? nullptr : &it->second;
+}
+
+std::size_t hybrid_index::entries_to_test(const symbolic_image& query) const {
+  std::shared_lock lock(mutex_);
+  std::size_t total = 0;
+  for (const icon& q : query.icons()) {
+    if (const auto* list = list_of(q.symbol)) total += list->size();
+  }
+  return total;
 }
 
 std::vector<image_id> hybrid_index::candidates(const symbolic_image& query,
                                                int pad,
-                                               traversal_stats* stats) const {
+                                               probe_stats* stats) const {
   if (pad < 0) {
     throw std::invalid_argument("hybrid_index::candidates: pad must be >= 0");
   }
-  std::vector<rtree::fused_probe> probes;
-  probes.reserve(query.size());
-  for (const icon& obj : query.icons()) {
-    probes.push_back(
-        rtree::fused_probe{padded(obj.mbr, pad), signature_of(obj.symbol)});
-  }
-
-  rtree::fused_stats fused;
-  std::vector<rtree::payload_t> hits;
+  std::vector<image_id> out;
+  std::size_t tested = 0;
   {
     std::shared_lock lock(mutex_);
-    hits = tree_.search_fused(probes, stats != nullptr ? &fused : nullptr);
-  }
-  if (stats != nullptr) {
-    stats->nodes_visited = fused.nodes_visited;
-    stats->entries_tested = fused.entries_tested;
-    stats->raw_hits = hits.size();
-  }
-
-  // Exact recheck: the signature is a superset filter (bit symbol % 64), so
-  // a hit may owe its survival to a colliding symbol. Accept an icon only if
-  // some query icon of the SAME symbol has its padded window overlapping it
-  // — exactly the per-icon predicate of window_candidates, which makes this
-  // set equal to combined_candidates for the same pad.
-  std::vector<image_id> out;
-  out.reserve(hits.size());
-  for (rtree::payload_t payload : hits) {
-    const image_id id = image_of(payload);
-    const icon& obj = db_->record(id).image.icons()[icon_of(payload)];
     for (const icon& q : query.icons()) {
-      if (q.symbol == obj.symbol && overlaps(padded(q.mbr, pad), obj.mbr)) {
-        out.push_back(id);
-        break;
+      const auto* list = list_of(q.symbol);
+      if (list == nullptr) continue;
+      const rect window = padded(q.mbr, pad);
+      tested += list->size();
+      for (const posting& p : *list) {
+        if (overlaps(window, p.mbr)) out.push_back(p.image);
       }
     }
   }
+  if (stats != nullptr) *stats = probe_stats{tested, out.size()};
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

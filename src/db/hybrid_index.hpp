@@ -1,27 +1,27 @@
-// The fused spatial-visual index (ROADMAP "Hybrid spatial-visual index";
-// "Hybrid Indexes to Expedite Spatial-Visual Search", PAPERS.md): one R-tree
-// over every icon MBR whose nodes ALSO carry symbol-signature bitmaps, so a
-// single traversal prunes on window ∩ signature simultaneously.
+// The spatial-visual index (ROADMAP "Hybrid spatial-visual index";
+// "Hybrid Indexes to Expedite Spatial-Visual Search", PAPERS.md): symbol
+// first, window second. Every icon lands in its symbol's flat posting list
+// as {mbr, image id}; a probe scans only the lists of the query's symbols
+// and keeps the entries whose MBR overlaps the query icon's padded window.
 //
 // The combined prefilter (db/prefilter.hpp) materializes two full candidate
 // lists — inverted-index hits and R-tree window hits — and intersects them
-// after the fact. Here the intersection happens inside the tree descent: a
-// subtree is cut the moment its bounding box misses every padded query
-// window OR its signature shares no bit with the query's symbols, whichever
-// fires first. The result SET is identical to combined_candidates (an exact
-// per-hit recheck removes the signature's hash collisions), but the work to
-// produce it is one traversal instead of two generations + an intersection.
+// after the fact. Here the exact symbol is the partition key, so the window
+// test only ever runs against icons of the right symbol and no recheck is
+// needed: the result SET is identical to combined_candidates by
+// construction, produced by one pass over the query symbols' lists.
 #pragma once
 
 #include <shared_mutex>
+#include <unordered_map>
+#include <vector>
 
 #include "db/database.hpp"
-#include "db/rtree.hpp"
 
 namespace bes {
 
 // Live ingest: same reader/writer discipline as spatial_index — add_image
-// takes the exclusive side, fused traversals the shared side.
+// takes the exclusive side, candidates the shared side.
 class hybrid_index {
  public:
   // Indexes all icons of all current records (snapshot; add images first).
@@ -31,46 +31,50 @@ class hybrid_index {
   // image as it lands (mirrors spatial_index).
   hybrid_index(const image_database& db, deferred_build_t);
 
-  // Indexes the icons of record `id` (already in the database), each under
-  // its symbol's signature bit; ancestors pick the bit up on the way down.
+  // Appends the icons of record `id` (already in the database) to their
+  // symbols' posting lists. Two-phase like inverted_index::add: every list
+  // is created and grown first, then the appends cannot throw, so a
+  // throwing add leaves no partial image behind.
   void add_image(image_id id);
 
-  // Fused-traversal accounting, surfaced by besdb explain and bench E9e.
-  struct traversal_stats {
-    std::size_t nodes_visited = 0;
+  // Probe accounting, surfaced by besdb explain and bench E9e.
+  struct probe_stats {
+    // Posting entries tested against a padded window: Σ over query icons of
+    // that icon's symbol list length (== entries_to_test(query)).
     std::size_t entries_tested = 0;
-    // Leaf hits the traversal produced before the exact recheck/dedup —
-    // includes signature hash collisions and duplicate icons per image.
+    // Entries that passed, before dedup — includes several icons of one
+    // image, so >= the returned list's size.
     std::size_t raw_hits = 0;
   };
 
   // Ids of images with at least one icon d and one query icon q such that
   // d.symbol == q.symbol and d.mbr overlaps q.mbr padded by `pad` pixels on
   // every side (sorted, unique) — the same set as combined_candidates(db,
-  // spatial, query, pad), from one fused traversal. pad < 0 throws.
+  // spatial, query, pad). pad < 0 throws.
   [[nodiscard]] std::vector<image_id> candidates(
       const symbolic_image& query, int pad,
-      traversal_stats* stats = nullptr) const;
+      probe_stats* stats = nullptr) const;
 
-  // The signature bit an icon symbol maps to. 64 bits of alphabet are
-  // collision-free; beyond that symbols alias (bit symbol % 64), which only
-  // weakens pruning — never correctness, thanks to the exact recheck.
-  [[nodiscard]] static rtree::signature_t signature_of(
-      symbol_id symbol) noexcept {
-    return 1ull << (static_cast<unsigned>(symbol) % 64u);
-  }
+  // The work candidates(query, ·) does: Σ over query icons of that icon's
+  // symbol list length. The planner's cost term for this path.
+  [[nodiscard]] std::size_t entries_to_test(const symbolic_image& query) const;
 
   [[nodiscard]] std::size_t indexed_icons() const {
     std::shared_lock lock(mutex_);
-    return tree_.size();
+    return icons_;
   }
-  // Direct tree access bypasses the lock: callers must be quiesced (no
-  // concurrent add_image).
-  [[nodiscard]] const rtree& tree() const noexcept { return tree_; }
 
  private:
+  struct posting {
+    rect mbr;
+    image_id image = 0;
+  };
+
+  [[nodiscard]] const std::vector<posting>* list_of(symbol_id symbol) const;
+
   const image_database* db_;
-  rtree tree_;
+  std::unordered_map<symbol_id, std::vector<posting>> lists_;
+  std::size_t icons_ = 0;
   mutable std::shared_mutex mutex_;
 };
 

@@ -62,14 +62,10 @@ access_plan plan_query(const planner_context& ctx, const symbolic_image& query,
   if (lossy_ok && ctx.hybrid != nullptr) {
     const std::size_t est =
         make_access_path(access_path_kind::hybrid, actx)->estimate(probe);
-    // One fused traversal: each level tests at most max_entries entries per
-    // query-icon probe, plus the exact recheck over the raw hits.
-    const std::size_t traversal =
-        query.size() *
-        static_cast<std::size_t>(ctx.hybrid->tree().height() + 1) *
-        rtree::max_entries;
+    // One window test per posting entry of each query icon's symbol.
     menu.push_back({access_plan{access_path_kind::hybrid, pad, est},
-                    est * score_weight + traversal + est});
+                    est * score_weight + ctx.hybrid->entries_to_test(query) +
+                        est});
   } else if (lossy_ok && ctx.spatial != nullptr) {
     const std::size_t est =
         make_access_path(access_path_kind::combined, actx)->estimate(probe);

@@ -10,7 +10,7 @@
 // same path — the property db_planner_test locks. Sharded databases are
 // planned per (query, shard): each shard's own statistics drive its plan,
 // so a shard whose postings are dense may scan while a sparse one probes
-// its hybrid tree, all feeding one shared top-k.
+// its hybrid postings, all feeding one shared top-k.
 #pragma once
 
 #include "db/access_path.hpp"

@@ -21,12 +21,6 @@ rect rtree::bounds_of(const node& n) noexcept {
   return out;
 }
 
-rtree::signature_t rtree::sig_of(const node& n) noexcept {
-  signature_t out = 0;
-  for (const entry& e : n.entries) out |= e.sig;
-  return out;
-}
-
 long long rtree::enlargement(const rect& current, const rect& extra) noexcept {
   const rect merged{hull(current.x, extra.x), hull(current.y, extra.y)};
   return area_ll(merged) - area_ll(current);
@@ -34,7 +28,7 @@ long long rtree::enlargement(const rect& current, const rect& extra) noexcept {
 
 int rtree::height() const noexcept { return height_; }
 
-rtree::node* rtree::choose_leaf(node* from, const rect& box, signature_t sig,
+rtree::node* rtree::choose_leaf(node* from, const rect& box,
                                 std::vector<node*>& path) {
   node* current = from;
   for (;;) {
@@ -55,7 +49,6 @@ rtree::node* rtree::choose_leaf(node* from, const rect& box, signature_t sig,
       }
     }
     best->box = rect{hull(best->box.x, box.x), hull(best->box.y, box.y)};
-    best->sig |= sig;
     current = best->child.get();
   }
 }
@@ -122,7 +115,7 @@ std::unique_ptr<rtree::node> rtree::split(node& full) {
   return sibling;
 }
 
-void rtree::insert(const rect& box, payload_t payload, signature_t sig) {
+void rtree::insert(const rect& box, payload_t payload) {
   if (!box.valid()) {
     throw std::invalid_argument("rtree::insert: invalid box " + to_string(box));
   }
@@ -131,8 +124,8 @@ void rtree::insert(const rect& box, payload_t payload, signature_t sig) {
     height_ = 1;
   }
   std::vector<node*> path;
-  node* leaf = choose_leaf(root_.get(), box, sig, path);
-  leaf->entries.push_back(entry{box, payload, sig, nullptr});
+  node* leaf = choose_leaf(root_.get(), box, path);
+  leaf->entries.push_back(entry{box, payload, nullptr});
   ++size_;
 
   // Split upward while nodes overflow.
@@ -146,28 +139,24 @@ void rtree::insert(const rect& box, payload_t payload, signature_t sig) {
       auto new_root = std::make_unique<node>();
       new_root->leaf = false;
       auto old_root = std::move(root_);
-      new_root->entries.push_back(entry{bounds_of(*old_root), 0,
-                                        sig_of(*old_root),
-                                        std::move(old_root)});
       new_root->entries.push_back(
-          entry{bounds_of(*sibling), 0, sig_of(*sibling), std::move(sibling)});
+          entry{bounds_of(*old_root), 0, std::move(old_root)});
+      new_root->entries.push_back(
+          entry{bounds_of(*sibling), 0, std::move(sibling)});
       root_ = std::move(new_root);
       ++height_;
     } else {
       node* parent = path[static_cast<std::size_t>(level) - 1];
-      // Refresh the MBR and signature of the entry pointing at `current`
-      // (the split moved entries out of it), then add the sibling next to
-      // it. The ancestors' signatures stay supersets: split only
-      // redistributes, never adds bits.
+      // Refresh the MBR of the entry pointing at `current` (the split moved
+      // entries out of it), then add the sibling next to it.
       for (entry& e : parent->entries) {
         if (e.child.get() == current) {
           e.box = bounds_of(*current);
-          e.sig = sig_of(*current);
           break;
         }
       }
       parent->entries.push_back(
-          entry{bounds_of(*sibling), 0, sig_of(*sibling), std::move(sibling)});
+          entry{bounds_of(*sibling), 0, std::move(sibling)});
     }
   }
 }
@@ -211,37 +200,6 @@ std::vector<rtree::payload_t> rtree::search_contained(
   return out;
 }
 
-std::vector<rtree::payload_t> rtree::search_fused(
-    std::span<const fused_probe> probes, fused_stats* stats) const {
-  std::vector<payload_t> out;
-  if (!root_ || probes.empty()) return out;
-  std::vector<const node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const node* current = stack.back();
-    stack.pop_back();
-    if (stats != nullptr) ++stats->nodes_visited;
-    for (const entry& e : current->entries) {
-      bool matched = false;
-      for (const fused_probe& p : probes) {
-        if (stats != nullptr) ++stats->entries_tested;
-        // Both predicates at once: a subtree survives only if some single
-        // probe finds its window overlapping AND its signature non-disjoint.
-        if ((e.sig & p.mask) != 0 && overlaps(e.box, p.window)) {
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) continue;
-      if (current->leaf) {
-        out.push_back(e.payload);
-      } else {
-        stack.push_back(e.child.get());
-      }
-    }
-  }
-  return out;
-}
-
 bool rtree::check_invariants() const {
   if (!root_) return size_ == 0;
   bool ok = true;
@@ -251,12 +209,10 @@ bool rtree::check_invariants() const {
     const node* n;
     bool is_root;
     const rect* cover;
-    signature_t cover_sig;
-    bool has_cover_sig;
     int depth;
   };
   int leaf_depth = -1;
-  std::vector<frame> stack = {{root_.get(), true, nullptr, 0, false, 0}};
+  std::vector<frame> stack = {{root_.get(), true, nullptr, 0}};
   while (!stack.empty() && ok) {
     const frame f = stack.back();
     stack.pop_back();
@@ -273,12 +229,6 @@ bool rtree::check_invariants() const {
         if (!contains(*f.cover, e.box)) ok = false;
       }
     }
-    if (f.has_cover_sig) {
-      // Parent signature must be a superset of every child entry's bits.
-      for (const entry& e : f.n->entries) {
-        if ((e.sig & ~f.cover_sig) != 0) ok = false;
-      }
-    }
     if (f.n->leaf) {
       if (leaf_depth == -1) leaf_depth = f.depth;
       if (leaf_depth != f.depth) ok = false;  // all leaves at same level
@@ -289,8 +239,7 @@ bool rtree::check_invariants() const {
           ok = false;
           continue;
         }
-        stack.push_back(
-            frame{e.child.get(), false, &e.box, e.sig, true, f.depth + 1});
+        stack.push_back(frame{e.child.get(), false, &e.box, f.depth + 1});
       }
     }
   }

@@ -214,7 +214,7 @@ eval_report run_eval(const eval_corpus& corpus,
   }
 
   // Prefilter candidate sets, shared by every rtree/combined/hybrid cell.
-  // The hybrid sets come from the fused traversal at the SAME fixed eval
+  // The hybrid sets come from the per-symbol postings at the SAME fixed eval
   // pad, so the gate holds them to the combined cells' recall contract.
   std::vector<std::vector<image_id>> window_sets;
   std::vector<std::vector<image_id>> combined_sets;

@@ -24,8 +24,8 @@ enum class scan_path : std::uint8_t {
   index,       // inverted symbol index (>= 1 shared symbol)
   rtree,       // R-tree padded-window prefilter (db/prefilter.hpp)
   combined,    // symbol index ∩ window prefilter
-  hybrid,      // the fused symbol/R-tree traversal (db/hybrid_index.hpp) at
-               // the fixed eval pad — same set as combined, one traversal
+  hybrid,      // per-symbol {mbr, id} postings (db/hybrid_index.hpp) at the
+               // fixed eval pad — same set as combined, one pass
   planner,     // the cost-based planner picks the path and pad per query
                // (db/planner.hpp), with the histogram pruner engaged
 };

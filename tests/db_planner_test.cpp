@@ -1,8 +1,9 @@
 // The cost-based planner + access-path + hybrid-index equality suite
 // (ISSUE 7): every access path generates the same candidates as the legacy
-// function it wraps, the fused hybrid traversal equals the combined
-// prefilter set at every pad, the planner is a deterministic pure function
-// of (query, database statistics, options), planned searches are
+// function it wraps, the per-symbol hybrid postings equal the combined
+// prefilter set at every pad (and under a racing writer), the planner is a
+// deterministic pure function of (query, database statistics, options),
+// planned searches are
 // bit-identical to scoring the chosen candidate set, admissible plans are
 // bit-identical to the exhaustive engine, lossy plans stay within a recall
 // budget — across kernels, thread counts, and shard counts — and the eval
@@ -10,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/access_path.hpp"
@@ -99,7 +103,7 @@ TEST(AccessPath, EachKindMatchesItsLegacyGenerator) {
       EXPECT_EQ(make_access_path(access_path_kind::combined, ctx)
                     ->generate(probe),
                 combined);
-      // The fused traversal: ONE tree walk, same set as index ∩ window.
+      // The hybrid postings: one pass, same set as index ∩ window.
       EXPECT_EQ(make_access_path(access_path_kind::hybrid, ctx)
                     ->generate(probe),
                 combined)
@@ -181,6 +185,35 @@ TEST(AccessPath, KindNamesRoundTrip) {
 
 // ------------------------------------------- hybrid index == combined
 
+// Σ over query icons of how many database icons carry that icon's symbol —
+// the posting entries a hybrid probe must test, counted from the records.
+std::size_t symbol_list_mass(const image_database& db,
+                             const symbolic_image& query) {
+  std::size_t total = 0;
+  for (const icon& q : query.icons()) {
+    for (const db_record& rec : db.records()) {
+      for (const icon& d : rec.image.icons()) total += d.symbol == q.symbol;
+    }
+  }
+  return total;
+}
+
+// The hybrid set must equal combined_candidates, with exact accounting.
+void expect_hybrid_matches_combined(const image_database& db,
+                                    const spatial_index& spatial,
+                                    const hybrid_index& hybrid,
+                                    const symbolic_image& query, int pad,
+                                    const std::string& label) {
+  hybrid_index::probe_stats stats;
+  const std::vector<image_id> got = hybrid.candidates(query, pad, &stats);
+  EXPECT_EQ(got, combined_candidates(db, spatial, query, pad))
+      << label << " pad=" << pad;
+  EXPECT_EQ(stats.entries_tested, symbol_list_mass(db, query))
+      << label << " pad=" << pad;
+  EXPECT_EQ(stats.entries_tested, hybrid.entries_to_test(query)) << label;
+  EXPECT_GE(stats.raw_hits, got.size()) << label << " pad=" << pad;
+}
+
 TEST(HybridIndex, MatchesCombinedPrefilterAcrossPads) {
   const image_database db = planner_corpus(16, 97);
   const spatial_index spatial(db);
@@ -188,12 +221,176 @@ TEST(HybridIndex, MatchesCombinedPrefilterAcrossPads) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
     for (int pad : {0, 2, 8, 24, 64}) {
-      hybrid_index::traversal_stats stats;
-      EXPECT_EQ(hybrid.candidates(query, pad, &stats),
-                combined_candidates(db, spatial, query, pad))
-          << "seed=" << seed << " pad=" << pad;
-      EXPECT_GT(stats.nodes_visited, 0u);
+      expect_hybrid_matches_combined(db, spatial, hybrid, query, pad,
+                                     "seed=" + std::to_string(seed));
     }
+  }
+}
+
+// The benchmark's 256-symbol alphabet — where a 64-bit symbol signature
+// would alias four symbols per bit — plus hand-built edge cases: repeated
+// symbols in one image, boxes that only touch at pad 0 (intervals are
+// half-open, so touching is not overlapping), a query symbol with no
+// postings, and a query with no icons.
+TEST(HybridIndex, MatchesCombinedOverWideAlphabet) {
+  image_database db;
+  for (int s = 0; s < 256; ++s) db.symbols().intern("S" + std::to_string(s));
+  const symbol_id unused = db.symbols().intern("unused");
+  rng r(2027);
+  scene_params params;
+  params.object_count = 8;
+  params.symbol_pool = 256;
+  for (std::size_t i = 0; i < 120; ++i) {
+    db.add("img" + std::to_string(i), random_scene(params, r, db.symbols()));
+  }
+  const symbol_id a = db.symbols().id_of("S7");
+  const symbol_id b = db.symbols().id_of("S71");  // 71 % 64 == 7 % 64
+  symbolic_image repeated(256, 256);
+  repeated.add(a, rect{interval{10, 20}, interval{10, 20}});
+  repeated.add(a, rect{interval{200, 220}, interval{30, 40}});
+  repeated.add(a, rect{interval{100, 110}, interval{150, 170}});
+  const image_id repeated_id = db.add("repeated", repeated);
+  symbolic_image touching(256, 256);
+  touching.add(b, rect{interval{100, 120}, interval{100, 120}});
+  const image_id touching_id = db.add("touching", touching);
+
+  const spatial_index spatial(db);
+  const hybrid_index hybrid(db);
+
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    const symbolic_image query = distorted_query(db, seed * 11);
+    for (int pad : {0, 2, 8, 24}) {
+      expect_hybrid_matches_combined(db, spatial, hybrid, query, pad,
+                                     "seed=" + std::to_string(seed));
+    }
+  }
+
+  // Two query icons of symbol a, each near a different icon of `repeated`.
+  symbolic_image twice(256, 256);
+  twice.add(a, rect{interval{12, 14}, interval{12, 14}});
+  twice.add(a, rect{interval{205, 210}, interval{32, 35}});
+  // Touches `touching`'s box at its corner (120, 120) and nothing more.
+  symbolic_image corner(256, 256);
+  corner.add(b, rect{interval{120, 130}, interval{120, 130}});
+  symbolic_image absent(256, 256);
+  absent.add(unused, rect{interval{0, 256}, interval{0, 256}});
+  symbolic_image mixed = twice;
+  mixed.add(unused, rect{interval{0, 256}, interval{0, 256}});
+  const symbolic_image empty(256, 256);
+
+  for (int pad : {0, 1, 8}) {
+    for (const auto& [label, query] :
+         {std::pair<std::string, const symbolic_image&>{"twice", twice},
+          {"corner", corner},
+          {"absent", absent},
+          {"mixed", mixed},
+          {"empty", empty}}) {
+      expect_hybrid_matches_combined(db, spatial, hybrid, query, pad, label);
+    }
+    const auto has = [](const std::vector<image_id>& ids, image_id id) {
+      return std::binary_search(ids.begin(), ids.end(), id);
+    };
+    EXPECT_TRUE(has(hybrid.candidates(twice, pad), repeated_id));
+    EXPECT_TRUE(has(hybrid.candidates(mixed, pad), repeated_id));
+    EXPECT_EQ(has(hybrid.candidates(corner, pad), touching_id), pad > 0)
+        << "pad=" << pad;
+    EXPECT_TRUE(hybrid.candidates(absent, pad).empty());
+    EXPECT_TRUE(hybrid.candidates(empty, pad).empty());
+  }
+  EXPECT_EQ(hybrid.entries_to_test(absent), 0u);
+  EXPECT_EQ(hybrid.entries_to_test(empty), 0u);
+}
+
+// Live ingest: one writer appends to the database and the index while
+// readers probe. Every reader answer lies between the snapshot answer over
+// the prefix indexed before its call and the answer over the full set.
+TEST(HybridIndex, CandidatesRaceAddImage) {
+  constexpr std::size_t total = 96;
+  constexpr std::size_t initial = 32;
+  constexpr std::size_t readers = 3;
+  constexpr std::size_t min_iterations = 6;
+  constexpr std::size_t max_iterations = 40;
+
+  alphabet names;
+  rng r(811);
+  scene_params params;
+  params.object_count = 6;
+  params.symbol_pool = 24;
+  std::vector<symbolic_image> scenes;
+  for (std::size_t i = 0; i < total; ++i) {
+    scenes.push_back(random_scene(params, r, names));
+  }
+  std::vector<symbolic_image> queries;
+  for (std::size_t q = 0; q < 4; ++q) {
+    distortion_params d;
+    d.keep_fraction = 0.7;
+    d.jitter = 8;
+    alphabet scratch = names;
+    queries.push_back(distort(scenes[(q * 29) % total], d, r, scratch));
+  }
+  const auto fill = [&](image_database& db, std::size_t count) {
+    for (std::size_t i = db.size(); i < count; ++i) {
+      db.add("img" + std::to_string(i), scenes[i]);
+    }
+  };
+
+  image_database db;
+  for (const std::string& name : names.names()) db.symbols().intern(name);
+  fill(db, initial);
+  hybrid_index live(db);
+  std::atomic<std::size_t> indexed{initial};
+
+  struct sample {
+    std::size_t before = 0;
+    std::size_t query = 0;
+    int pad = 0;
+    std::vector<image_id> ids;
+  };
+  std::vector<std::vector<sample>> samples(readers);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < readers; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t it = 0; it < max_iterations; ++it) {
+        if (it >= min_iterations && indexed.load() == total) break;
+        sample s;
+        s.query = (t + it) % queries.size();
+        s.pad = static_cast<int>(8 * ((t + it) % 3));
+        s.before = indexed.load(std::memory_order_acquire);
+        s.ids = live.candidates(queries[s.query], s.pad);
+        samples[t].push_back(std::move(s));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (std::size_t i = initial; i < total; ++i) {
+      live.add_image(db.add("img" + std::to_string(i), scenes[i]));
+      indexed.store(i + 1, std::memory_order_release);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+
+  std::vector<sample> all;
+  for (auto& per_reader : samples) {
+    for (sample& s : per_reader) all.push_back(std::move(s));
+  }
+  std::sort(all.begin(), all.end(), [](const sample& x, const sample& y) {
+    return x.before < y.before;
+  });
+  image_database prefix;
+  for (const std::string& name : names.names()) prefix.symbols().intern(name);
+  const hybrid_index full(db);
+  for (const sample& s : all) {
+    fill(prefix, s.before);
+    const hybrid_index snapshot(prefix);
+    const std::vector<image_id> low =
+        snapshot.candidates(queries[s.query], s.pad);
+    const std::vector<image_id> high = full.candidates(queries[s.query], s.pad);
+    EXPECT_TRUE(std::includes(s.ids.begin(), s.ids.end(), low.begin(),
+                              low.end()))
+        << "before=" << s.before;
+    EXPECT_TRUE(std::includes(high.begin(), high.end(), s.ids.begin(),
+                              s.ids.end()))
+        << "before=" << s.before;
   }
 }
 
