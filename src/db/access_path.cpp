@@ -1,11 +1,11 @@
 #include "db/access_path.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "db/hybrid_index.hpp"
-#include "db/prefilter.hpp"
 #include "db/scan.hpp"
 #include "db/spatial_index.hpp"
 
@@ -80,6 +80,30 @@ void require_image(const path_probe& probe, access_path_kind kind) {
   }
 }
 
+// Images with an icon of some query icon's symbol overlapping that icon's
+// MBR padded by `pad` on every side (sorted, unique). `generated` receives
+// the raw per-window hit count before dedup.
+std::vector<image_id> window_hits(const spatial_index& spatial,
+                                  const symbolic_image& query, int pad,
+                                  std::size_t& generated) {
+  if (pad < 0) {
+    throw std::invalid_argument("window access path: pad must be >= 0");
+  }
+  std::vector<image_id> out;
+  for (const icon& obj : query.icons()) {
+    // Padded windows may extend past the image domain; the R-tree only
+    // requires lo < hi, and out-of-domain area matches nothing.
+    const rect window{interval{obj.mbr.x.lo - pad, obj.mbr.x.hi + pad},
+                      interval{obj.mbr.y.lo - pad, obj.mbr.y.hi + pad}};
+    const auto hits = spatial.images_overlapping(window, obj.symbol);
+    out.insert(out.end(), hits.begin(), hits.end());
+  }
+  generated = out.size();
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 class full_scan_path final : public access_path {
  public:
   explicit full_scan_path(const image_database& db) : db_(&db) {}
@@ -149,7 +173,7 @@ class rtree_window_path final : public access_path {
     require_image(probe, kind());
     std::size_t generated = 0;
     std::vector<image_id> out =
-        window_candidates(*spatial_, *probe.image, probe.pad, &generated);
+        window_hits(*spatial_, *probe.image, probe.pad, generated);
     if (stats != nullptr) *stats = access_path_stats{generated, 0};
     return out;
   }
@@ -176,11 +200,19 @@ class combined_path final : public access_path {
   std::vector<image_id> generate(const path_probe& probe,
                                  access_path_stats* stats) const override {
     require_image(probe, kind());
-    std::size_t generated = 0;
-    std::vector<image_id> out =
-        combined_candidates(*db_, *spatial_, *probe.image, probe.pad,
-                            &generated);
-    if (stats != nullptr) *stats = access_path_stats{generated, 0};
+    // Both inputs are materialized in full, then intersected: everything
+    // either side emitted counts as generated.
+    std::size_t window_generated = 0;
+    const std::vector<image_id> from_index = db_->candidates(*probe.image);
+    const std::vector<image_id> from_window =
+        window_hits(*spatial_, *probe.image, probe.pad, window_generated);
+    std::vector<image_id> out;
+    std::set_intersection(from_index.begin(), from_index.end(),
+                          from_window.begin(), from_window.end(),
+                          std::back_inserter(out));
+    if (stats != nullptr) {
+      *stats = access_path_stats{from_index.size() + window_generated, 0};
+    }
     return out;
   }
 
@@ -247,9 +279,9 @@ std::unique_ptr<access_path> make_access_path(access_path_kind kind,
 
 namespace detail {
 
-// The index/full-scan decision every legacy scan makes, now answered
-// through the access-path interface: query.cpp and shard.cpp call this and
-// never touch the inverted index directly.
+// The index/full-scan decision of every unplanned scan, answered through
+// the access-path interface: the engine (db/scan.cpp) and the shard server
+// call this and never touch the inverted index directly.
 std::vector<image_id> scan_ids(const image_database& db,
                                std::span<const symbol_id> query_symbols,
                                const query_options& options,

@@ -1,14 +1,13 @@
-// The one candidate-generation interface behind every scan (ISSUE 7
-// tentpole, part 1). The repo grew five ways to turn a query into a
-// candidate id list — full scan, inverted symbol index, R-tree padded
-// windows, symbol ∩ window, and the per-symbol hybrid postings — each with
-// its own entry point that callers (and the eval harness) had to pick by
-// hand.
+// The one candidate-generation interface behind every scan. There are five
+// ways to turn a query into a candidate id list — full scan, inverted
+// symbol index, R-tree padded windows, symbol ∩ window, and the per-symbol
+// hybrid postings.
 // An access_path wraps each generator behind one interface yielding a
 // sorted, unique candidate list plus a cheap cost estimate, so the scan
-// engine (db/query.cpp, db/shard.cpp) and the cost-based planner
-// (db/planner.hpp) consume candidate generation without knowing which
-// structure produced it.
+// engine (db/scan.hpp) and the cost-based planner (db/planner.hpp) consume
+// candidate generation without knowing which structure produced it. It is
+// the only candidate-generation surface: callers that want a spatial
+// candidate set call make_access_path(kind, ctx)->generate(probe).
 #pragma once
 
 #include <memory>
@@ -27,8 +26,8 @@ enum class access_path_kind {
                    // under the paper's "no shared symbol => score 0" note)
   rtree_window,    // >= 1 icon of a query symbol inside that icon's padded
                    // window (lossy under displacement > pad)
-  combined,        // inverted_index ∩ rtree_window, materialized then
-                   // intersected (db/prefilter.hpp)
+  combined,        // inverted_index ∩ rtree_window: both materialized in
+                   // full, then intersected
   hybrid,          // the same set as combined from one pass over the
                    // query symbols' {mbr, id} posting lists
                    // (db/hybrid_index.hpp)
@@ -70,8 +69,9 @@ class access_path {
   // (probe, database state).
   [[nodiscard]] virtual std::size_t estimate(const path_probe& probe) const = 0;
 
-  // The candidate ids (sorted, unique), ready for scan_shard /
-  // search_candidates. `stats` (if non-null) is overwritten.
+  // The candidate ids (sorted, unique), ready for search_candidates. The
+  // spatial paths throw std::invalid_argument on a negative pad. `stats`
+  // (if non-null) is overwritten.
   [[nodiscard]] virtual std::vector<image_id> generate(
       const path_probe& probe, access_path_stats* stats = nullptr) const = 0;
 };

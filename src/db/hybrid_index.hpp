@@ -4,12 +4,13 @@
 // as {mbr, image id}; a probe scans only the lists of the query's symbols
 // and keeps the entries whose MBR overlaps the query icon's padded window.
 //
-// The combined prefilter (db/prefilter.hpp) materializes two full candidate
-// lists — inverted-index hits and R-tree window hits — and intersects them
-// after the fact. Here the exact symbol is the partition key, so the window
-// test only ever runs against icons of the right symbol and no recheck is
-// needed: the result SET is identical to combined_candidates by
-// construction, produced by one pass over the query symbols' lists.
+// The `combined` access path (db/access_path.hpp) materializes two full
+// candidate lists — inverted-index hits and R-tree window hits — and
+// intersects them after the fact. Here the exact symbol is the partition
+// key, so the window test only ever runs against icons of the right symbol
+// and no recheck is needed: the result SET is identical to the combined
+// path's by construction, produced by one pass over the query symbols'
+// lists.
 #pragma once
 
 #include <shared_mutex>
@@ -49,8 +50,8 @@ class hybrid_index {
 
   // Ids of images with at least one icon d and one query icon q such that
   // d.symbol == q.symbol and d.mbr overlaps q.mbr padded by `pad` pixels on
-  // every side (sorted, unique) — the same set as combined_candidates(db,
-  // spatial, query, pad). pad < 0 throws.
+  // every side (sorted, unique) — the same set as the combined access
+  // path at `pad`. pad < 0 throws.
   [[nodiscard]] std::vector<image_id> candidates(
       const symbolic_image& query, int pad,
       probe_stats* stats = nullptr) const;

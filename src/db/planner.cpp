@@ -5,8 +5,6 @@
 
 #include "db/hybrid_index.hpp"
 #include "db/scan.hpp"
-#include "db/shard.hpp"
-#include "db/spatial_index.hpp"
 
 namespace bes {
 
@@ -83,85 +81,18 @@ access_plan plan_query(const planner_context& ctx, const symbolic_image& query,
   return best.plan;
 }
 
-namespace {
-
-// Plan + generate for one (query, database): the shared front half of every
-// planned search.
-struct generation {
-  access_plan plan;
-  std::vector<image_id> ids;
-  std::size_t generated = 0;
-};
-
-generation generate_planned(const planner_context& ctx,
-                            const symbolic_image& query,
-                            std::span<const symbol_id> symbols,
-                            const query_options& options) {
-  generation out;
-  out.plan = plan_query(ctx, query, symbols, options);
-  const access_path_context actx{ctx.db, ctx.spatial, ctx.hybrid};
-  access_path_stats gen;
-  out.ids = make_access_path(out.plan.path, actx)
-                ->generate(path_probe{&query, symbols, out.plan.pad}, &gen);
-  out.generated = gen.candidates_generated;
-  return out;
-}
-
-std::vector<query_result> planned_impl(
-    const planner_context& ctx, const symbolic_image& query,
-    const be_string2d& strings, std::span<const symbol_id> symbols,
-    const be_histogram2d* histograms, const query_transforms* transforms,
-    const query_options& options, search_stats* stats) {
-  generation g = generate_planned(ctx, query, symbols, options);
-  auto out = detail::scan_shard(*ctx.db, strings, g.ids, {}, histograms,
-                                transforms, options, nullptr, stats);
-  if (stats != nullptr) {
-    stats->candidates_generated = g.generated;
-    stats->plans.push_back(planned_scan{g.plan.path, g.plan.pad,
-                                        g.plan.estimated_candidates,
-                                        g.ids.size()});
-  }
-  return out;
-}
-
-std::vector<query_result> sharded_planned_impl(
-    const sharded_database& db, const symbolic_image& query,
-    const be_string2d& strings, std::span<const symbol_id> symbols,
-    const query_options& options, search_stats* stats) {
-  const std::size_t shards = db.shard_count();
-  std::vector<std::vector<image_id>> local(shards);
-  std::vector<planned_scan> plans;
-  plans.reserve(shards);
-  std::size_t generated = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    // Each shard is planned against ITS statistics: postings and density
-    // differ per partition, so so may the chosen path.
-    const planner_context ctx{&db.shard_db(s), &db.shard_spatial(s),
-                              &db.shard_hybrid(s)};
-    generation g = generate_planned(ctx, query, symbols, options);
-    generated += g.generated;
-    plans.push_back(planned_scan{g.plan.path, g.plan.pad,
-                                 g.plan.estimated_candidates, g.ids.size()});
-    local[s] = std::move(g.ids);
-  }
-  auto out = search_local_candidates(db, strings, local, options, stats);
-  if (stats != nullptr) {
-    stats->candidates_generated = generated;
-    stats->plans = std::move(plans);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<query_result> search_planned(const planner_context& ctx,
                                          const symbolic_image& query,
                                          const be_string2d& query_strings,
                                          std::span<const symbol_id> symbols,
                                          const query_options& options,
                                          search_stats* stats) {
-  return planned_impl(ctx, query, query_strings, symbols, nullptr, nullptr,
-                      options, stats);
+  const db_snapshot snap = ctx.db->snapshot();
+  return detail::run_query(
+      detail::shard_set(*ctx.db, ctx.spatial, ctx.hybrid),
+      detail::scan_query{
+          .strings = &query_strings, .symbols = symbols, .image = &query},
+      {&snap, 1}, options, stats);
 }
 
 std::vector<query_result> search_planned(const planner_context& ctx,
@@ -170,8 +101,7 @@ std::vector<query_result> search_planned(const planner_context& ctx,
                                          search_stats* stats) {
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return planned_impl(ctx, query, strings, symbols, nullptr, nullptr, options,
-                      stats);
+  return search_planned(ctx, query, strings, symbols, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch_planned(
@@ -179,23 +109,10 @@ std::vector<std::vector<query_result>> search_batch_planned(
     const query_options& options, std::vector<search_stats>* stats) {
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
-  const bool want_histograms = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<detail::query_plan> plans =
-      detail::make_plans(encoded.strings, options);
-
-  if (stats != nullptr) stats->assign(queries.size(), search_stats{});
-  std::vector<std::vector<query_result>> results(queries.size());
-  detail::for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = planned_impl(
-            ctx, queries[i], encoded.strings[i], encoded.symbols[i],
-            want_histograms ? &plans[i].histograms : nullptr,
-            want_transforms ? &plans[i].transforms : nullptr, per_query,
-            stats != nullptr ? &(*stats)[i] : nullptr);
-      });
-  return results;
+  return detail::run_batch(
+      detail::shard_set(*ctx.db, ctx.spatial, ctx.hybrid),
+      detail::batch_queries(encoded.strings, encoded.symbols, queries), {},
+      options, stats);
 }
 
 std::vector<query_result> search_planned(const sharded_database& db,
@@ -204,7 +121,11 @@ std::vector<query_result> search_planned(const sharded_database& db,
                                          search_stats* stats) {
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
-  return sharded_planned_impl(db, query, strings, symbols, options, stats);
+  return detail::run_query(
+      detail::shard_set(db),
+      detail::scan_query{
+          .strings = &strings, .symbols = symbols, .image = &query},
+      {}, options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch_planned(
@@ -212,16 +133,10 @@ std::vector<std::vector<query_result>> search_batch_planned(
     const query_options& options, std::vector<search_stats>* stats) {
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
-  if (stats != nullptr) stats->assign(queries.size(), search_stats{});
-  std::vector<std::vector<query_result>> results(queries.size());
-  detail::for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = sharded_planned_impl(
-            db, queries[i], encoded.strings[i], encoded.symbols[i], per_query,
-            stats != nullptr ? &(*stats)[i] : nullptr);
-      });
-  return results;
+  return detail::run_batch(
+      detail::shard_set(db),
+      detail::batch_queries(encoded.strings, encoded.symbols, queries), {},
+      options, stats);
 }
 
 }  // namespace bes

@@ -1,5 +1,4 @@
-// The cost-based query planner (ISSUE 7 tentpole, part 3): picks ONE access
-// path per query from statistics that are already on hand — database size,
+// The cost-based query planner: picks ONE access path per query from statistics that are already on hand — database size,
 // posting-list lengths, the query's window/domain area ratios (the cheap
 // spatial-density stand-in), its icon count (the LCS cost driver), top_k
 // and min_score — and sizes the prefilter pad adaptively from the query's
@@ -7,10 +6,11 @@
 //
 // The choice is a pure function of (query, database statistics, options):
 // no randomness, no wall-clock feedback, so the same inputs always plan the
-// same path — the property db_planner_test locks. Sharded databases are
-// planned per (query, shard): each shard's own statistics drive its plan,
-// so a shard whose postings are dense may scan while a sparse one probes
-// its hybrid postings, all feeding one shared top-k.
+// same path — the property db_planner_test locks. Every planned search is
+// planned per (query, shard) inside the scan engine (db/scan.hpp): each
+// shard's own statistics drive its plan, so a shard whose postings are
+// dense may scan while a sparse one probes its hybrid postings, all
+// feeding one shared top-k. A flat database is the one-shard case.
 #pragma once
 
 #include "db/access_path.hpp"
@@ -78,17 +78,17 @@ struct planner_context {
     const query_options& options = {}, search_stats* stats = nullptr);
 
 // Batch counterpart: results[i] == search_planned(ctx, queries[i], options),
-// with encoding/histograms/transforms amortized and the queries scheduled
-// on one dynamic work queue (detail::for_each_query).
+// with encoding/histograms/transforms amortized, the queries scheduled on
+// one dynamic work queue, and one snapshot pinned for the whole batch.
 [[nodiscard]] std::vector<std::vector<query_result>> search_batch_planned(
     const planner_context& ctx, std::span<const symbolic_image> queries,
     const query_options& options = {},
     std::vector<search_stats>* stats = nullptr);
 
 // Sharded: one plan per (query, shard) against that shard's own statistics;
-// the per-shard candidate lists feed one fan-out sharing one top-k
-// (search_local_candidates), so results merge exactly like every other
-// sharded search. stats->plans gets shard_count() entries, in shard order.
+// the per-shard candidate lists feed one fan-out sharing one top-k, so
+// results merge exactly like every other sharded search. stats->plans gets
+// shard_count() entries, in shard order.
 [[nodiscard]] std::vector<query_result> search_planned(
     const sharded_database& db, const symbolic_image& query,
     const query_options& options = {}, search_stats* stats = nullptr);

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "db/result_cache.hpp"
 #include "db/scan.hpp"
 #include "util/parallel.hpp"
 
@@ -302,46 +301,24 @@ std::vector<query_result> scan_shard(
 
 }  // namespace detail
 
-namespace {
-
-std::vector<query_result> search_impl(const image_database& db,
-                                      const be_string2d& query_strings,
-                                      std::span<const symbol_id> query_symbols,
-                                      const be_histogram2d* histograms,
-                                      const query_transforms* transforms,
-                                      const query_options& options,
-                                      search_stats* stats,
-                                      const db_snapshot* snap = nullptr) {
-  std::size_t generated = 0;
-  const std::vector<image_id> ids =
-      detail::scan_ids(db, query_symbols, options,
-                       stats != nullptr ? &generated : nullptr);
-  auto out = detail::scan_shard(db, query_strings, ids, {}, histograms,
-                                transforms, options, nullptr, stats, snap);
-  // scan_shard resets *stats; generation accounting goes on top.
-  if (stats != nullptr) stats->candidates_generated = generated;
-  return out;
+std::vector<query_result> search(const db_snapshot& snap,
+                                 const be_string2d& query_strings,
+                                 std::span<const symbol_id> query_symbols,
+                                 const query_options& options,
+                                 search_stats* stats) {
+  return detail::run_query(detail::shard_set(*snap.db),
+                           detail::scan_query{.strings = &query_strings,
+                                              .symbols = query_symbols},
+                           {&snap, 1}, options, stats);
 }
-
-void check_candidates_in_range(const image_database& db,
-                               std::span<const image_id> candidates) {
-  for (image_id id : candidates) {
-    if (id >= db.size()) {
-      throw std::out_of_range("search_candidates: id " + std::to_string(id) +
-                              " out of range");
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<query_result> search(const image_database& db,
                                  const be_string2d& query_strings,
                                  std::span<const symbol_id> query_symbols,
                                  const query_options& options,
                                  search_stats* stats) {
-  return search_impl(db, query_strings, query_symbols, nullptr, nullptr,
-                     options, stats);
+  const db_snapshot snap = db.snapshot();
+  return search(snap, query_strings, query_symbols, options, stats);
 }
 
 std::vector<query_result> search_candidates(const image_database& db,
@@ -349,12 +326,8 @@ std::vector<query_result> search_candidates(const image_database& db,
                                             std::span<const image_id> candidates,
                                             const query_options& options,
                                             search_stats* stats) {
-  check_candidates_in_range(db, candidates);
-  auto out = detail::scan_shard(db, query_strings, candidates, {}, nullptr,
-                                nullptr, options, nullptr, stats);
-  // Generation happened outside; the handed-in list is what was generated.
-  if (stats != nullptr) stats->candidates_generated = candidates.size();
-  return out;
+  return detail::run_candidates(detail::shard_set(db), query_strings,
+                                candidates, options, stats);
 }
 
 std::vector<query_result> search(const image_database& db,
@@ -364,15 +337,6 @@ std::vector<query_result> search(const image_database& db,
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
   return search(db, strings, symbols, options, stats);
-}
-
-std::vector<query_result> search(const db_snapshot& snap,
-                                 const be_string2d& query_strings,
-                                 std::span<const symbol_id> query_symbols,
-                                 const query_options& options,
-                                 search_stats* stats) {
-  return search_impl(*snap.db, query_strings, query_symbols, nullptr, nullptr,
-                     options, stats, &snap);
 }
 
 std::vector<query_result> search(const db_snapshot& snap,
@@ -386,23 +350,23 @@ std::vector<query_result> search(const db_snapshot& snap,
 
 namespace detail {
 
-std::vector<query_plan> make_plans(std::span<const be_string2d> queries,
-                                   const query_options& options) {
-  const bool want_histograms = pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  std::vector<query_plan> plans(queries.size());
-  parallel_for(queries.size(), options.threads, [&](std::size_t i) {
-    if (want_histograms) plans[i].histograms = make_histograms(queries[i]);
-    if (want_transforms) plans[i].transforms = precompute_transforms(queries[i]);
-  });
-  return plans;
+query_plan make_plan(const be_string2d& query_strings,
+                     const query_options& options) {
+  query_plan plan;
+  if (pruning_applies(options)) {
+    plan.histograms = make_histograms(query_strings);
+  }
+  if (options.transform_invariant) {
+    plan.transforms = precompute_transforms(query_strings);
+  }
+  return plan;
 }
 
 single_plan::single_plan(const be_string2d& query_strings,
                          const query_options& options)
-    : plans(make_plans({&query_strings, 1}, options)) {
-  if (pruning_applies(options)) histograms = &plans[0].histograms;
-  if (options.transform_invariant) transforms = &plans[0].transforms;
+    : plan(make_plan(query_strings, options)) {
+  if (pruning_applies(options)) histograms = &plan.histograms;
+  if (options.transform_invariant) transforms = &plan.transforms;
 }
 
 encoded_queries encode_queries(std::span<const symbolic_image> queries,
@@ -417,73 +381,15 @@ encoded_queries encode_queries(std::span<const symbolic_image> queries,
   return out;
 }
 
-// The batch used to walk queries one after another, each scan fanning its
-// candidates over all threads — so the batch tail was serialized behind
-// whichever query happened to be slow. Now the queries themselves are work
-// items on parallel_for's dynamic queue (chunk = 1: a worker claims ONE
-// query at a time), with the thread budget split between query-level and
-// candidate-level parallelism. A slow query occupies one worker while the
-// others drain the rest of the batch; results are identical either way
-// because every scan is thread-count-invariant by construction.
-void for_each_query(
-    std::size_t count, const query_options& options,
-    const std::function<void(std::size_t, const query_options&)>& run_one) {
-  if (count <= 1 || options.threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) run_one(i, options);
-    return;
-  }
-  const unsigned outer = static_cast<unsigned>(
-      std::min<std::size_t>(options.threads, count));
-  query_options per_query = options;
-  per_query.threads = std::max(1u, options.threads / outer);
-  parallel_for(
-      count, outer, [&](std::size_t i) { run_one(i, per_query); },
-      /*chunk=*/1);
-}
-
 }  // namespace detail
-
-namespace {
-
-using detail::for_each_query;
-using detail::make_plans;
-using detail::query_plan;
-
-std::vector<std::vector<query_result>> batch_impl(
-    const image_database& db, std::span<const be_string2d> queries,
-    std::span<const std::vector<symbol_id>> query_symbols,
-    const query_options& options, std::vector<search_stats>* stats) {
-  if (queries.size() != query_symbols.size()) {
-    throw std::invalid_argument(
-        "search_batch: queries and query_symbols sizes differ");
-  }
-  const bool want_histograms = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<query_plan> plans = make_plans(queries, options);
-
-  if (stats != nullptr) {
-    stats->assign(queries.size(), search_stats{});
-  }
-  std::vector<std::vector<query_result>> results(queries.size());
-  for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = search_impl(
-            db, queries[i], query_symbols[i],
-            want_histograms ? &plans[i].histograms : nullptr,
-            want_transforms ? &plans[i].transforms : nullptr, per_query,
-            stats != nullptr ? &(*stats)[i] : nullptr);
-      });
-  return results;
-}
-
-}  // namespace
 
 std::vector<std::vector<query_result>> search_batch(
     const image_database& db, std::span<const be_string2d> queries,
     std::span<const std::vector<symbol_id>> query_symbols,
     const query_options& options, std::vector<search_stats>* stats) {
-  return batch_impl(db, queries, query_symbols, options, stats);
+  return detail::run_batch(detail::shard_set(db),
+                           detail::batch_queries(queries, query_symbols), {},
+                           options, stats);
 }
 
 std::vector<std::vector<query_result>> search_batch(
@@ -491,136 +397,8 @@ std::vector<std::vector<query_result>> search_batch(
     const query_options& options, std::vector<search_stats>* stats) {
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
-  return batch_impl(db, encoded.strings, encoded.symbols, options, stats);
+  return search_batch(db, encoded.strings, encoded.symbols, options, stats);
 }
-
-namespace {
-
-// Delta-scan refresh of a flat cache entry: upgrade results valid at the
-// entry's cut to `now` by (1) re-checking the cached hits against the new
-// snapshot's tombstone view and (2) scoring only the records appended in
-// [cut.visible, now.visible). Returns nullopt when the entry cannot be
-// upgraded without a full rescan — a deletion hit an INCOMPLETE entry (the
-// deletion may promote a runner-up the entry never stored), in which case
-// the caller falls back to the full scan.
-std::optional<std::vector<query_result>> flat_delta_refresh(
-    const image_database& db, const db_snapshot& snap, result_cache& cache,
-    const cache_key& key, const cache_entry& entry, const cache_cut& now,
-    const be_string2d& query_strings, std::span<const symbol_id> query_symbols,
-    const query_options& options, search_stats* stats) {
-  const cache_cut& at = entry.cuts[0];
-
-  // Survivors: cached hits still alive at the new cut, back in query frame.
-  std::vector<query_result> survivors = entry.results;
-  from_canonical_frame(survivors, key.canon);
-  std::size_t deaths = 0;
-  std::erase_if(survivors, [&](const query_result& r) {
-    const bool dead = !snap.alive(r.id);
-    deaths += dead ? 1 : 0;
-    return dead;
-  });
-  if (deaths > 0 && !entry.complete) return std::nullopt;
-
-  // Suffix candidates: the full scan's generation rule, restricted to the
-  // appended range. Records the entry's cut already saw are NOT regenerated.
-  const std::vector<image_id> all_ids =
-      detail::scan_ids(db, query_symbols, options, nullptr);
-  std::vector<image_id> suffix;
-  for (image_id id : all_ids) {
-    if (id >= at.visible && id < now.visible) suffix.push_back(id);
-  }
-
-  // With a full cached top-k the k-th surviving score is an admissible floor
-  // for suffix candidates: every suffix id is larger than every cached id,
-  // so an equal score loses the id-ascending tie-break anyway.
-  query_options delta_options = options;
-  if (options.top_k > 0 && survivors.size() == options.top_k) {
-    delta_options.min_score =
-        std::max(options.min_score, survivors.back().score);
-  }
-
-  search_stats delta_stats;
-  std::vector<query_result> fresh =
-      detail::scan_shard(db, query_strings, suffix, {}, nullptr, nullptr,
-                         delta_options, nullptr, &delta_stats, &snap);
-
-  std::vector<query_result> merged = std::move(survivors);
-  merged.insert(merged.end(), fresh.begin(), fresh.end());
-  merged = detail::rank_results(std::move(merged), options);
-
-  cache.note_delta_refresh(delta_stats.scanned);
-  if (stats != nullptr) {
-    *stats = delta_stats;
-    stats->candidates_generated = suffix.size();
-    stats->cache_delta_refreshes = 1;
-    stats->cache_delta_rescored = delta_stats.scanned;
-  }
-
-  cache_entry updated;
-  updated.results = merged;
-  to_canonical_frame(updated.results, key.canon);
-  updated.cuts = {now};
-  updated.complete = options.top_k == 0 || merged.size() < options.top_k;
-  cache.put(key, std::move(updated));
-  return merged;
-}
-
-std::vector<query_result> flat_cached_impl(
-    const image_database& db, const db_snapshot& snap, result_cache& cache,
-    const be_string2d& query_strings, std::span<const symbol_id> query_symbols,
-    const query_options& options, search_stats* stats) {
-  const cache_key key = make_cache_key(query_strings, query_symbols, options,
-                                       cache_scope::flat, /*shard_count=*/1,
-                                       /*ring_replicas=*/0);
-  const cache_cut now{snap.visible, snap.epoch};
-
-  const std::optional<cache_entry> entry = cache.find(key);
-  if (entry.has_value() && entry->cuts.size() == 1) {
-    if (entry->cuts[0] == now) {
-      cache.note_hit();
-      if (stats != nullptr) {
-        *stats = search_stats{};
-        stats->cache_hits = 1;
-      }
-      std::vector<query_result> out = entry->results;
-      from_canonical_frame(out, key.canon);
-      return out;
-    }
-    const cache_cut& at = entry->cuts[0];
-    const bool forward = now.visible >= at.visible && now.epoch >= at.epoch;
-    if (forward &&
-        now.visible - at.visible <= cache.options().max_delta_records) {
-      auto refreshed =
-          flat_delta_refresh(db, snap, cache, key, *entry, now, query_strings,
-                             query_symbols, options, stats);
-      if (refreshed.has_value()) return std::move(*refreshed);
-    }
-  }
-
-  // Miss (no entry, past the staleness budget, or not upgradeable): full
-  // pinned scan. Store unless it would REGRESS a fresher entry — a search
-  // pinned to an old snapshot must not overwrite results newer readers use.
-  cache.note_miss();
-  std::vector<query_result> out = search_impl(
-      db, query_strings, query_symbols, nullptr, nullptr, options, stats,
-      &snap);
-  if (stats != nullptr) stats->cache_misses = 1;
-  const bool store =
-      !entry.has_value() || entry->cuts.size() != 1 ||
-      (now.visible >= entry->cuts[0].visible &&
-       now.epoch >= entry->cuts[0].epoch);
-  if (store) {
-    cache_entry fresh;
-    fresh.results = out;
-    to_canonical_frame(fresh.results, key.canon);
-    fresh.cuts = {now};
-    fresh.complete = options.top_k == 0 || out.size() < options.top_k;
-    cache.put(key, std::move(fresh));
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<query_result> search_cached(const db_snapshot& snap,
                                         result_cache& cache,
@@ -628,8 +406,8 @@ std::vector<query_result> search_cached(const db_snapshot& snap,
                                         std::span<const symbol_id> query_symbols,
                                         const query_options& options,
                                         search_stats* stats) {
-  return flat_cached_impl(*snap.db, snap, cache, query_strings, query_symbols,
-                          options, stats);
+  return detail::run_cached(detail::shard_set(*snap.db), {&snap, 1}, cache,
+                            query_strings, query_symbols, options, stats);
 }
 
 std::vector<query_result> search_cached(const image_database& db,
@@ -639,8 +417,8 @@ std::vector<query_result> search_cached(const image_database& db,
                                         const query_options& options,
                                         search_stats* stats) {
   const db_snapshot snap = db.snapshot();
-  return flat_cached_impl(db, snap, cache, query_strings, query_symbols,
-                          options, stats);
+  return search_cached(snap, cache, query_strings, query_symbols, options,
+                       stats);
 }
 
 std::vector<query_result> search_cached(const image_database& db,
@@ -662,29 +440,21 @@ std::vector<std::vector<query_result>> search_batch_candidates(
         "search_batch_candidates: queries and candidates sizes differ");
   }
   for (const std::vector<image_id>& set : candidates) {
-    check_candidates_in_range(db, set);
+    for (image_id id : set) {
+      if (id >= db.size()) {
+        throw std::out_of_range("search_candidates: id " +
+                                std::to_string(id) + " out of range");
+      }
+    }
   }
-  const bool want_histograms = detail::pruning_applies(options);
-  const bool want_transforms = options.transform_invariant;
-  const std::vector<query_plan> plans = make_plans(queries, options);
-
-  if (stats != nullptr) {
-    stats->assign(queries.size(), search_stats{});
+  const std::vector<std::span<const image_id>> lists(candidates.begin(),
+                                                     candidates.end());
+  std::vector<detail::scan_query> batch(queries.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = detail::scan_query{.strings = &queries[i],
+                                  .lists = {&lists[i], 1}};
   }
-  std::vector<std::vector<query_result>> results(queries.size());
-  for_each_query(
-      queries.size(), options,
-      [&](std::size_t i, const query_options& per_query) {
-        results[i] = detail::scan_shard(
-            db, queries[i], candidates[i], {},
-            want_histograms ? &plans[i].histograms : nullptr,
-            want_transforms ? &plans[i].transforms : nullptr, per_query,
-            nullptr, stats != nullptr ? &(*stats)[i] : nullptr);
-        if (stats != nullptr) {
-          (*stats)[i].candidates_generated = candidates[i].size();
-        }
-      });
-  return results;
+  return detail::run_batch(detail::shard_set(db), batch, {}, options, stats);
 }
 
 }  // namespace bes

@@ -172,11 +172,11 @@ class result_cache;  // db/result_cache.hpp
     const query_options& options = {}, search_stats* stats = nullptr);
 
 // Scores exactly the given candidate set (sorted or not, duplicates scored
-// twice — callers pass the sorted/unique output of a prefilter). This is the
-// entry point for external access paths (R-tree window prefilter, combined
-// symbol ∩ window prefilter, db/prefilter.hpp): candidate generation is the
-// caller's, ranking/pruning/threads behave exactly as in search().
-// options.use_index is ignored. Throws std::out_of_range on an id >= size.
+// twice — callers pass the sorted/unique output of an access path,
+// make_access_path(...)->generate(...) in db/access_path.hpp): candidate
+// generation is the caller's, ranking/pruning/threads behave exactly as in
+// search(). options.use_index is ignored. Throws std::out_of_range on an
+// id >= size.
 [[nodiscard]] std::vector<query_result> search_candidates(
     const image_database& db, const be_string2d& query_strings,
     std::span<const image_id> candidates, const query_options& options = {},
@@ -190,6 +190,12 @@ class result_cache;  // db/result_cache.hpp
 // loops then run through parallel_for with options.threads workers,
 // including the histogram-pruned path. When `stats` is non-null it is
 // resized to queries.size() with per-query accounting.
+//
+// Snapshot rule: a batch pins ONE snapshot, captured when the batch starts,
+// and every query of the batch scans against it — so results[i] is what
+// search() returns at that instant, and two equal queries of one batch get
+// equal answers even while add()/remove() run. Every batch entry point
+// (flat, sharded, explicit-candidate and planned) follows this rule.
 [[nodiscard]] std::vector<std::vector<query_result>> search_batch(
     const image_database& db, std::span<const symbolic_image> queries,
     const query_options& options = {},
@@ -207,10 +213,9 @@ class result_cache;  // db/result_cache.hpp
 // Batch counterpart of search_candidates: results[i] ==
 // search_candidates(db, queries[i], candidates[i], options), with per-query
 // precomputation amortized and the queries scheduled on one dynamic work
-// queue. This is how a prefiltered candidate set (e.g. combined_candidates,
-// see db/prefilter.hpp) rides the batch path. The two spans must have equal
-// length; options.use_index is ignored; throws std::out_of_range on any id
-// >= db.size().
+// queue. This is how access-path candidate sets ride the batch path. The
+// two spans must have equal length; options.use_index is ignored; throws
+// std::out_of_range on any id >= db.size().
 [[nodiscard]] std::vector<std::vector<query_result>> search_batch_candidates(
     const image_database& db, std::span<const be_string2d> queries,
     std::span<const std::vector<image_id>> candidates,

@@ -1,30 +1,43 @@
-// The candidate-scan engine shared by db/query.cpp (one database) and
-// db/shard.cpp (fan-out/merge over shard partitions). Internal: the stable
-// user-facing entry points are search()/search_batch() in db/query.hpp and
-// their sharded overloads in db/shard.hpp; everything here may change shape
-// as the sharding layer grows toward cross-process partitions.
+// The one scan engine behind every in-process search. A corpus is a shard
+// set (shard_set below): a flat image_database is the one-shard set with
+// the identity id map, a sharded_database supplies one shard per
+// partition. Every public search overload — flat, sharded, pinned, cached,
+// batched, explicit-candidate and planned, in db/query.hpp, db/shard.hpp
+// and db/planner.hpp — is a short forward into run_batch / run_query /
+// run_candidates / run_cached here, which own the fan-out and merge, the
+// (query, shard) batch queue, plan-per-shard generation, and the cached
+// lookup with delta refresh. Internal: everything here may change shape.
 //
-// The sharded scan keeps the unsharded admissibility argument intact by
-// sharing ONE running top-k across every scan of a query: shard scans (like
-// PR 2's worker threads) insert into the same shared_topk, whose k-th score
-// only grows and is served to the hot pruning checks from a lock-free
-// atomic cache. A candidate pruned at max(min_score, cached k-th) provably
-// has >= k strictly better rivals across the union of shards, so dropping
-// it cannot change the merged result — the same argument that makes the
-// single-database pruned scan identical to the exhaustive one. (A per-shard
-// heap would NOT work: it defends k results per shard, so its threshold is
-// only the k-th best of one partition — measurably weaker pruning the more
+// The fan-out keeps the single-database admissibility argument intact by
+// sharing ONE running top-k across every shard scan of a query: shard scans
+// (like a scan's worker threads) insert into the same shared_topk, whose
+// k-th score only grows and is served to the hot pruning checks from a
+// lock-free atomic cache. A candidate pruned at max(min_score, cached k-th)
+// provably has >= k strictly better rivals across the union of shards, so
+// dropping it cannot change the merged result — the same argument that
+// makes the pruned scan identical to the exhaustive one. (A per-shard heap
+// would NOT work: it defends k results per shard, so its threshold is only
+// the k-th best of one partition — measurably weaker pruning the more
 // shards there are.)
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <mutex>
+#include <utility>
 
 #include "db/database.hpp"
 #include "db/query.hpp"
 #include "lcs/similarity.hpp"
+
+namespace bes {
+
+class hybrid_index;
+class result_cache;
+class sharded_database;
+class spatial_index;
+
+}  // namespace bes
 
 namespace bes::detail {
 
@@ -42,45 +55,32 @@ namespace bes::detail {
 // to defend and is bypassed by transform-invariant scans).
 [[nodiscard]] bool pruning_applies(const query_options& options);
 
-// Candidate ids for an index/full scan over one database (flat or one
-// shard): the inverted-index hits when the index engages, else every record
-// id — answered through the access-path interface (db/access_path.hpp), and
-// shared so the flat and sharded paths can never diverge on
-// index-engagement rules. `generated` (if non-null) receives the raw
-// pre-dedup hit count (search_stats::candidates_generated). Defined in
-// access_path.cpp.
+// Candidate ids for an unplanned scan of one shard: the inverted-index hits
+// when the index engages, else every record id — answered through the
+// access-path interface (db/access_path.hpp), and shared by the engine and
+// the shard server so they never diverge on index-engagement rules.
+// `generated` (if non-null) receives the raw pre-dedup hit count
+// (search_stats::candidates_generated). Defined in access_path.cpp.
 [[nodiscard]] std::vector<image_id> scan_ids(
     const image_database& db, std::span<const symbol_id> query_symbols,
     const query_options& options, std::size_t* generated = nullptr);
 
-// Drives `run_one(i, per_query_options)` over every query of a batch on
-// parallel_for's dynamic queue (chunk 1: a worker claims ONE query at a
-// time), splitting the thread budget between query-level and
-// candidate-level parallelism. Shared by the flat batch entry points and
-// the planned batches (db/planner.cpp); results are identical to a serial
-// loop because every scan is thread-count-invariant by construction.
-void for_each_query(
-    std::size_t count, const query_options& options,
-    const std::function<void(std::size_t, const query_options&)>& run_one);
-
-// Precomputed per-query scan state for a batch: the pruner histograms when
-// pruning engages, the 8 dihedral query variants when transform-invariant
-// (each left empty otherwise). Computed once per query up front, in
-// parallel across the batch — shared by the flat and sharded batch paths.
+// Precomputed per-query scan state: the pruner histograms when pruning
+// engages, the 8 dihedral query variants when transform-invariant (each
+// left empty otherwise). Built once per query and shared by every shard
+// scan of it, never rebuilt per shard or per chunk.
 struct query_plan {
   be_histogram2d histograms;
   query_transforms transforms;
 };
-[[nodiscard]] std::vector<query_plan> make_plans(
-    std::span<const be_string2d> queries, const query_options& options);
+[[nodiscard]] query_plan make_plan(const be_string2d& query_strings,
+                                   const query_options& options);
 
-// One query's plan, built once and shared by every scan_shard call of the
-// query (the shards of a fan-out, the chunks of a server request): the
-// batch machinery over a one-element span, so the engagement rules live in
-// one place. Each pointer is null when its piece does not engage — the
-// form scan_shard takes.
+// One query's plan in the form scan_shard takes: each pointer is null when
+// its piece does not engage. For callers that drive scan_shard themselves
+// (the shard server's chunk loop).
 struct single_plan {
-  std::vector<query_plan> plans;
+  query_plan plan;
   const be_histogram2d* histograms = nullptr;
   const query_transforms* transforms = nullptr;
 
@@ -90,8 +90,7 @@ struct single_plan {
 };
 
 // Encoded strings and distinct symbols for a batch of symbolic queries,
-// computed in parallel across the batch — shared by the flat and sharded
-// search_batch overloads.
+// computed in parallel across the batch.
 struct encoded_queries {
   std::vector<be_string2d> strings;
   std::vector<std::vector<symbol_id>> symbols;
@@ -190,5 +189,114 @@ struct id_map {
     const be_histogram2d* histograms, const query_transforms* transforms,
     const query_options& options, shared_topk* shared, search_stats* stats,
     const db_snapshot* snap = nullptr);
+
+// ------------------------------------------------------------ shard sets
+
+// One partition as the engine scans it: its records, how its local ids map
+// to the ids results report, and the spatial structures the planner may
+// probe (null takes that path off the menu).
+struct shard_view {
+  const image_database* db = nullptr;
+  id_map globals;
+  const spatial_index* spatial = nullptr;
+  const hybrid_index* hybrid = nullptr;
+};
+
+// The corpus the engine runs over. The flat constructor holds its one view
+// inline (no allocation); the sharded one holds one view per partition.
+class shard_set {
+ public:
+  explicit shard_set(const image_database& db,
+                     const spatial_index* spatial = nullptr,
+                     const hybrid_index* hybrid = nullptr) noexcept
+      : one_{&db, {}, spatial, hybrid} {}
+  explicit shard_set(const sharded_database& db);
+
+  [[nodiscard]] std::span<const shard_view> shards() const noexcept {
+    return many_.empty() ? std::span<const shard_view>(&one_, 1)
+                         : std::span<const shard_view>(many_);
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return shards().size(); }
+  [[nodiscard]] const shard_view& operator[](std::size_t s) const noexcept {
+    return shards()[s];
+  }
+  // The sharded database behind the set; null for a flat one.
+  [[nodiscard]] const sharded_database* sharded() const noexcept {
+    return sharded_;
+  }
+
+  // Global ids are [0, id_count()).
+  [[nodiscard]] std::size_t id_count() const noexcept;
+  // Global id -> (shard, local id). Precondition: global < id_count().
+  [[nodiscard]] std::pair<std::size_t, image_id> locate(image_id global) const;
+  // One snapshot per shard, captured now.
+  [[nodiscard]] std::vector<db_snapshot> snapshot() const;
+
+ private:
+  shard_view one_;
+  std::vector<shard_view> many_;
+  const sharded_database* sharded_ = nullptr;
+};
+
+// ---------------------------------------------------------------- engine
+
+// One query as the engine sees it. Each shard's candidates come from
+// `lists[s]` (explicit shard-local ids, one list per shard) when `lists` is
+// non-empty, else from the planner (plan_query against that shard's own
+// statistics, then its access path) when `image` is set, else from the
+// index/full-scan rule (scan_ids).
+struct scan_query {
+  const be_string2d* strings = nullptr;
+  std::span<const symbol_id> symbols{};
+  const symbolic_image* image = nullptr;
+  std::span<const std::span<const image_id>> lists{};
+};
+
+// Runs every query over every shard as (query, shard) items on ONE dynamic
+// work queue (chunk 1), so neither a slow query nor a hot shard strands the
+// batch tail. Thread budget: min(threads, items) workers, the leftover
+// threads go inside each scan. Per-query plans are built once up front.
+// Every item scans against `snaps` (one per shard; empty = capture one per
+// shard now), so the whole batch observes ONE instant. results[q] is
+// identical to a serial single-query search at that instant; (*stats)[q]
+// sums the query's per-shard accounting, plans in shard order. Throws
+// std::invalid_argument when snaps has the wrong shard count.
+[[nodiscard]] std::vector<std::vector<query_result>> run_batch(
+    const shard_set& set, std::span<const scan_query> queries,
+    std::span<const db_snapshot> snaps, const query_options& options,
+    std::vector<search_stats>* stats);
+
+// run_batch over a one-element batch.
+[[nodiscard]] std::vector<query_result> run_query(
+    const shard_set& set, const scan_query& query,
+    std::span<const db_snapshot> snaps, const query_options& options,
+    search_stats* stats);
+
+// Scores exactly the given GLOBAL-id candidates, partitioned to their
+// shards. On a flat set the caller's span is scanned as is (no copy).
+// Throws std::out_of_range on an id >= set.id_count().
+[[nodiscard]] std::vector<query_result> run_candidates(
+    const shard_set& set, const be_string2d& query_strings,
+    std::span<const image_id> candidates, const query_options& options,
+    search_stats* stats);
+
+// The cached search over `set` at `snaps` (one per shard): a pure hit, a
+// delta refresh scoring only each shard's appended suffix, or a full scan
+// whose result is stored unless it would regress a fresher entry. Keys
+// carry the flat scope (shard count 1) or the sharded scope (shard count,
+// ring replicas). See search_cached in db/query.hpp.
+[[nodiscard]] std::vector<query_result> run_cached(
+    const shard_set& set, std::span<const db_snapshot> snaps,
+    result_cache& cache, const be_string2d& query_strings,
+    std::span<const symbol_id> query_symbols, const query_options& options,
+    search_stats* stats);
+
+// One scan_query per (strings[i], symbols[i]) — and images[i] when
+// `images` is non-empty (planned batches). Throws std::invalid_argument
+// when the spans' lengths differ.
+[[nodiscard]] std::vector<scan_query> batch_queries(
+    std::span<const be_string2d> strings,
+    std::span<const std::vector<symbol_id>> symbols,
+    std::span<const symbolic_image> images = {});
 
 }  // namespace bes::detail

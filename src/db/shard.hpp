@@ -219,26 +219,6 @@ struct sharded_snapshot {
     std::span<const image_id> candidates, const query_options& options = {},
     search_stats* stats = nullptr);
 
-// Scores exactly the given per-shard LOCAL-id candidate lists (one list per
-// shard; shard-local record ids). The planned sharded search
-// (db/planner.cpp) generates each shard's candidates through that shard's
-// own access paths and feeds the lists here; ranking/pruning/stats/merge
-// behave exactly as search_candidates. local_candidates.size() must equal
-// shard_count(); throws std::invalid_argument otherwise.
-[[nodiscard]] std::vector<query_result> search_local_candidates(
-    const sharded_database& db, const be_string2d& query_strings,
-    const std::vector<std::vector<image_id>>& local_candidates,
-    const query_options& options = {}, search_stats* stats = nullptr);
-
-// Pinned variant: every shard scan filters its candidate list against the
-// matching entry of `snap`. This is how the cached search scores exactly
-// the per-shard appended suffixes of a delta refresh.
-[[nodiscard]] std::vector<query_result> search_local_candidates(
-    const sharded_database& db, const sharded_snapshot& snap,
-    const be_string2d& query_strings,
-    const std::vector<std::vector<image_id>>& local_candidates,
-    const query_options& options = {}, search_stats* stats = nullptr);
-
 // Cached fan-out searches (db/result_cache.hpp): identical results to the
 // matching sharded search() overload, consulting/populating `cache` around
 // the fan-out. Entries are stamped with one {visible, epoch} cut PER SHARD;
@@ -272,15 +252,5 @@ struct sharded_snapshot {
     std::span<const std::vector<symbol_id>> query_symbols,
     const query_options& options = {},
     std::vector<search_stats>* stats = nullptr);
-
-// ------------------------------------------------------- prefilter fan-out
-
-// window_candidates / combined_candidates over the per-shard R-trees and
-// inverted indexes; global ids, sorted, unique. Equal to the unsharded
-// prefilters over the same records.
-[[nodiscard]] std::vector<image_id> window_candidates(
-    const sharded_database& db, const symbolic_image& query, int pad);
-[[nodiscard]] std::vector<image_id> combined_candidates(
-    const sharded_database& db, const symbolic_image& query, int pad);
 
 }  // namespace bes

@@ -10,8 +10,8 @@
 
 #include "db/hybrid_index.hpp"
 #include "db/planner.hpp"
-#include "db/prefilter.hpp"
 #include "db/shard.hpp"
+#include "db/spatial_index.hpp"
 
 namespace bes {
 
@@ -237,16 +237,18 @@ eval_report run_eval(const eval_corpus& corpus,
   }
   if (any_prefilter) {
     const int pad = eval_prefilter_pad(corpus.params);
+    const access_path_context actx{&db, &*sindex, &*hindex};
+    const auto window = make_access_path(access_path_kind::rtree_window, actx);
+    const auto combined = make_access_path(access_path_kind::combined, actx);
+    const auto hybrid = make_access_path(access_path_kind::hybrid, actx);
     window_sets.reserve(nq);
     combined_sets.reserve(nq);
     hybrid_sets.reserve(nq);
     for (std::size_t i = 0; i < nq; ++i) {
-      window_sets.push_back(
-          window_candidates(*sindex, corpus.queries[i].image, pad));
-      combined_sets.push_back(
-          intersect_candidates(db.candidates(symbols[i]), window_sets[i]));
-      hybrid_sets.push_back(
-          hindex->candidates(corpus.queries[i].image, pad));
+      const path_probe probe{&corpus.queries[i].image, symbols[i], pad};
+      window_sets.push_back(window->generate(probe));
+      combined_sets.push_back(combined->generate(probe));
+      hybrid_sets.push_back(hybrid->generate(probe));
     }
   }
   // The planner's batch entry point takes the symbolic queries themselves.

@@ -22,7 +22,7 @@ enum class scan_path : std::uint8_t {
   exhaustive,  // every image, no pruning — the recall reference
   pruned,      // every image through the admissible histogram pruner
   index,       // inverted symbol index (>= 1 shared symbol)
-  rtree,       // R-tree padded-window prefilter (db/prefilter.hpp)
+  rtree,       // R-tree padded-window access path (db/access_path.hpp)
   combined,    // symbol index ∩ window prefilter
   hybrid,      // per-symbol {mbr, id} postings (db/hybrid_index.hpp) at the
                // fixed eval pad — same set as combined, one pass

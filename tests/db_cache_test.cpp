@@ -328,6 +328,35 @@ TEST(CacheSearch, TransformSiblingsShareOneEntry) {
 
 // ----------------------------------------------------------- delta refresh
 
+// The refresh's accounting on a one-shard database must equal the flat
+// database's, counter for counter: run the same miss-append-refresh-hit
+// sequence on both and compare every step.
+void expect_one_shard_refresh_counts_like_flat(const scene_pool& pool,
+                                               std::size_t initial,
+                                               std::size_t appended,
+                                               const query_options& options,
+                                               const symbolic_image& query) {
+  image_database flat = build_db(pool, initial);
+  sharded_database one = build_sharded(pool, initial, 1);
+  result_cache flat_cache;
+  result_cache one_cache;
+  auto step = [&](const char* what) {
+    search_stats flat_stats;
+    search_stats one_stats;
+    EXPECT_EQ(search_cached(one, one_cache, query, options, &one_stats),
+              search_cached(flat, flat_cache, query, options, &flat_stats))
+        << what;
+    EXPECT_TRUE(testsupport::same_counters(one_stats, flat_stats)) << what;
+  };
+  step("miss");
+  for (std::size_t i = 0; i < appended; ++i) {
+    flat.add("late" + std::to_string(i), pool.scenes[initial + i]);
+    one.add("late" + std::to_string(i), pool.scenes[initial + i]);
+  }
+  step("refresh");
+  step("hit");
+}
+
 TEST(CacheDelta, FlatRefreshScoresOnlyTheAppendedSuffix) {
   const scene_pool pool(40);
   image_database db = build_db(pool, 24);
@@ -360,6 +389,9 @@ TEST(CacheDelta, FlatRefreshScoresOnlyTheAppendedSuffix) {
   search_stats hit;
   EXPECT_EQ(search_cached(db, cache, query, options, &hit), refreshed);
   EXPECT_EQ(hit.cache_hits, 1u);
+
+  expect_one_shard_refresh_counts_like_flat(pool, 24, appended, options,
+                                            query);
 }
 
 TEST(CacheDelta, ShardedRefreshScoresOnlyTheAppendedSuffix) {
@@ -382,6 +414,11 @@ TEST(CacheDelta, ShardedRefreshScoresOnlyTheAppendedSuffix) {
   EXPECT_EQ(refreshed, search(db, query, options));
   EXPECT_EQ(stats.cache_delta_refreshes, 1u);
   EXPECT_EQ(stats.cache_delta_rescored, appended);
+
+  query_options pruned = options;
+  pruned.use_index = true;
+  pruned.histogram_pruning = true;
+  expect_one_shard_refresh_counts_like_flat(pool, 24, appended, pruned, query);
 }
 
 TEST(CacheDelta, StalenessBudgetFallsBackToAFullScan) {

@@ -492,5 +492,45 @@ TEST(IngestTorture, BatchObservesOneConsistentSnapshot) {
   EXPECT_EQ(batch[1], search(db, queries[1], options));
 }
 
+// The flat batch pins ONE snapshot too (the rule documented beside
+// search_batch in db/query.hpp). The batch is N copies of one query keeping
+// only exact matches (min_score 1.0, unlimited k) while a writer appends
+// exact copies of that query: every query of a batch must return the same
+// id set. A snapshot per query would let later queries of the batch see
+// copies the earlier ones could not.
+TEST(IngestTorture, FlatBatchPinsOneSnapshotPerBatch) {
+  const scene_pool pool(17, 53);
+  image_database db = build_db(pool, 16);
+  const symbolic_image query = pool.scenes[16];
+  const std::vector<symbolic_image> batch(16, query);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::size_t i = 0; i < 600; ++i) {
+      db.add("copy" + std::to_string(i), query);
+    }
+    done.store(true);
+  });
+  query_options options;
+  options.top_k = 0;
+  options.min_score = 1.0;
+  std::size_t batches = 0;
+  while (!done.load()) {
+    for (unsigned threads : {1u, 4u}) {
+      options.threads = threads;
+      const auto results = search_batch(db, batch, options);
+      ASSERT_EQ(results.size(), batch.size());
+      for (std::size_t i = 1; i < results.size(); ++i) {
+        ASSERT_EQ(results[i], results[0])
+            << "query " << i << " of batch " << batches
+            << " saw another instant (threads=" << threads << ")";
+      }
+      ++batches;
+    }
+  }
+  writer.join();
+  const auto quiesced = search_batch(db, batch, options);
+  EXPECT_EQ(quiesced.front().size(), 600u) << "every copy scores exactly 1";
+}
+
 }  // namespace
 }  // namespace bes

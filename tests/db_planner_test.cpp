@@ -1,7 +1,8 @@
-// The cost-based planner + access-path + hybrid-index equality suite
-// (ISSUE 7): every access path generates the same candidates as the legacy
-// function it wraps, the per-symbol hybrid postings equal the combined
-// prefilter set at every pad (and under a racing writer), the planner is a
+// The cost-based planner + access-path + hybrid-index equality suite:
+// every access path generates exactly its defining candidate set (checked
+// against a brute-force reference), the per-symbol hybrid postings equal
+// the combined path's set at every pad (and under a racing writer), the
+// planner is a
 // deterministic pure function of (query, database statistics, options),
 // planned searches are
 // bit-identical to scoring the chosen candidate set, admissible plans are
@@ -21,13 +22,13 @@
 #include "db/access_path.hpp"
 #include "db/hybrid_index.hpp"
 #include "db/planner.hpp"
-#include "db/prefilter.hpp"
 #include "db/query.hpp"
 #include "db/shard.hpp"
 #include "db/spatial_index.hpp"
 #include "eval/corpus.hpp"
 #include "eval/harness.hpp"
 #include "eval/report.hpp"
+#include "support/test_support.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
 
@@ -73,9 +74,30 @@ std::vector<similarity_options> kernels() {
   return {weighted, exact, dice};
 }
 
-// ----------------------------------- access paths == legacy generators
+// --------------------------------- access paths == brute-force reference
 
-TEST(AccessPath, EachKindMatchesItsLegacyGenerator) {
+// The spatial paths' set straight from its definition: every record with,
+// for some query icon, an icon of the same symbol whose MBR overlaps that
+// query icon's MBR padded by `pad` on every side (sorted, unique).
+std::vector<image_id> brute_force_window(const image_database& db,
+                                         const symbolic_image& query,
+                                         int pad) {
+  std::vector<image_id> out;
+  for (const db_record& rec : db.records()) {
+    bool hit = false;
+    for (const icon& q : query.icons()) {
+      const rect window{interval{q.mbr.x.lo - pad, q.mbr.x.hi + pad},
+                        interval{q.mbr.y.lo - pad, q.mbr.y.hi + pad}};
+      for (const icon& d : rec.image.icons()) {
+        hit = hit || (d.symbol == q.symbol && overlaps(d.mbr, window));
+      }
+    }
+    if (hit) out.push_back(rec.id);
+  }
+  return out;
+}
+
+TEST(AccessPath, EachKindMatchesBruteForceReference) {
   const image_database db = planner_corpus(14);
   const spatial_index spatial(db);
   const hybrid_index hybrid(db);
@@ -95,19 +117,17 @@ TEST(AccessPath, EachKindMatchesItsLegacyGenerator) {
       EXPECT_EQ(make_access_path(access_path_kind::inverted_index, ctx)
                     ->generate(probe),
                 db.candidates(symbols));
-      EXPECT_EQ(make_access_path(access_path_kind::rtree_window, ctx)
-                    ->generate(probe),
-                window_candidates(spatial, query, pad));
-      const auto combined =
-          combined_candidates(db, spatial, query, pad);
-      EXPECT_EQ(make_access_path(access_path_kind::combined, ctx)
-                    ->generate(probe),
-                combined);
-      // The hybrid postings: one pass, same set as index ∩ window.
-      EXPECT_EQ(make_access_path(access_path_kind::hybrid, ctx)
-                    ->generate(probe),
-                combined)
-          << "seed=" << seed << " pad=" << pad;
+      // Window hits are symbol-filtered, so all three spatial paths —
+      // window alone, index ∩ window, and the hybrid postings — produce
+      // the same set.
+      const std::vector<image_id> reference =
+          brute_force_window(db, query, pad);
+      for (access_path_kind kind :
+           {access_path_kind::rtree_window, access_path_kind::combined,
+            access_path_kind::hybrid}) {
+        EXPECT_EQ(make_access_path(kind, ctx)->generate(probe), reference)
+            << to_string(kind) << " seed=" << seed << " pad=" << pad;
+      }
     }
   }
 }
@@ -198,7 +218,7 @@ std::size_t symbol_list_mass(const image_database& db,
   return total;
 }
 
-// The hybrid set must equal combined_candidates, with exact accounting.
+// The hybrid set must equal the combined path's, with exact accounting.
 void expect_hybrid_matches_combined(const image_database& db,
                                     const spatial_index& spatial,
                                     const hybrid_index& hybrid,
@@ -206,7 +226,10 @@ void expect_hybrid_matches_combined(const image_database& db,
                                     const std::string& label) {
   hybrid_index::probe_stats stats;
   const std::vector<image_id> got = hybrid.candidates(query, pad, &stats);
-  EXPECT_EQ(got, combined_candidates(db, spatial, query, pad))
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
+  EXPECT_EQ(got, make_access_path(access_path_kind::combined,
+                                  access_path_context{&db, &spatial, nullptr})
+                     ->generate(path_probe{&query, symbols, pad}))
       << label << " pad=" << pad;
   EXPECT_EQ(stats.entries_tested, symbol_list_mass(db, query))
       << label << " pad=" << pad;
@@ -655,16 +678,22 @@ TEST(ShardedPlanner, OneShardPlansExactlyLikeTheFlatPlanner) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const symbolic_image query = distorted_query(db, seed);
     for (std::size_t k : {0u, 5u}) {
-      query_options options;
-      options.top_k = k;
-      search_stats sharded_stats;
-      search_stats flat_stats;
-      EXPECT_EQ(search_planned(sharded, query, options, &sharded_stats),
-                search_planned(ctx, query, options, &flat_stats))
-          << "seed=" << seed << " k=" << k;
-      ASSERT_EQ(sharded_stats.plans.size(), 1u);
-      ASSERT_EQ(flat_stats.plans.size(), 1u);
-      EXPECT_EQ(sharded_stats.plans[0], flat_stats.plans[0]);
+      for (bool pruning : {false, true}) {
+        query_options options;
+        options.top_k = k;
+        options.histogram_pruning = pruning;
+        search_stats sharded_stats;
+        search_stats flat_stats;
+        EXPECT_EQ(search_planned(sharded, query, options, &sharded_stats),
+                  search_planned(ctx, query, options, &flat_stats))
+            << "seed=" << seed << " k=" << k;
+        ASSERT_EQ(sharded_stats.plans.size(), 1u);
+        ASSERT_EQ(flat_stats.plans.size(), 1u);
+        EXPECT_EQ(sharded_stats.plans[0], flat_stats.plans[0]);
+        // Serial, one shard: every counter equals the flat planner's.
+        EXPECT_TRUE(testsupport::same_counters(sharded_stats, flat_stats))
+            << "seed=" << seed << " k=" << k << " pruning=" << pruning;
+      }
     }
   }
 }

@@ -19,8 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "db/prefilter.hpp"
+#include "db/access_path.hpp"
 #include "db/query.hpp"
+#include "db/spatial_index.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
 
@@ -230,13 +231,23 @@ TEST(StatsGeneration, IndexedScanCountsRawPostingHits) {
   EXPECT_TRUE(stats.plans.empty());
 }
 
+// The combined access path's candidates (symbol index ∩ padded windows).
+std::vector<image_id> combined_set(const image_database& db,
+                                   const spatial_index& spatial,
+                                   const symbolic_image& query, int pad) {
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
+  return make_access_path(access_path_kind::combined,
+                          access_path_context{&db, &spatial, nullptr})
+      ->generate(path_probe{&query, symbols, pad});
+}
+
 TEST(StatsGeneration, ExplicitCandidateListGeneratesItsOwnSize) {
   // search_candidates scores exactly the given list — generation is the
   // caller's doing, so generated == scanned == the list's size.
   const image_database db = sibling_corpus(15);
   const spatial_index spatial(db);
   const symbolic_image query = distorted_query(db, 3, 0.8);
-  const auto set = combined_candidates(db, spatial, query, 16);
+  const auto set = combined_set(db, spatial, query, 16);
   ASSERT_FALSE(set.empty());
   search_stats stats;
   (void)search_candidates(db, encode(query), set, {}, &stats);
@@ -353,7 +364,7 @@ TEST(SearchBatch, DynamicSchedulingIsThreadAndChunkInvariant) {
 // ------------------------------------------- prefiltered candidate batches
 
 TEST(SearchBatchCandidates, MatchesPerQuerySearchCandidates) {
-  // The ROADMAP item: combined_candidates fed through the batch path. Per
+  // The combined access path's sets fed through the batch path. Per
   // query, the batch scan over an explicit candidate set must agree with
   // search_candidates — results AND stats.
   const image_database db = sibling_corpus(20);
@@ -364,7 +375,7 @@ TEST(SearchBatchCandidates, MatchesPerQuerySearchCandidates) {
   for (std::uint64_t s = 0; s < 6; ++s) {
     queries.push_back(distorted_query(db, s, 0.8));
     strings.push_back(encode(queries.back()));
-    sets.push_back(combined_candidates(db, spatial, queries.back(), 16));
+    sets.push_back(combined_set(db, spatial, queries.back(), 16));
   }
   for (bool pruning : {false, true}) {
     for (unsigned threads : {1u, 4u}) {
@@ -389,29 +400,6 @@ TEST(SearchBatchCandidates, MatchesPerQuerySearchCandidates) {
                   batch_stats[i].scanned);
       }
     }
-  }
-}
-
-TEST(SearchBatchCandidates, CombinedConvenienceMatchesManualPrefilter) {
-  const image_database db = sibling_corpus(15);
-  const spatial_index spatial(db);
-  std::vector<symbolic_image> queries;
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    queries.push_back(distorted_query(db, s, 0.8));
-  }
-  query_options options;
-  options.top_k = 5;
-  options.threads = 2;
-  std::vector<search_stats> stats;
-  const auto batched =
-      search_batch_combined(db, spatial, queries, 16, options, &stats);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto set = combined_candidates(db, spatial, queries[i], 16);
-    EXPECT_EQ(batched[i],
-              search_candidates(db, encode(queries[i]), set, options))
-        << "query " << i;
-    EXPECT_EQ(stats[i].scanned, set.size()) << "query " << i;
   }
 }
 

@@ -8,13 +8,15 @@
 // full coverage, and resizes that move only the new shard's records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "db/prefilter.hpp"
+#include "db/access_path.hpp"
 #include "db/shard.hpp"
+#include "support/test_support.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
 
@@ -153,20 +155,47 @@ TEST(ShardedDatabase, CandidatesMatchUnshardedIndex) {
   }
 }
 
+// Candidates of one access path over every shard, mapped to global ids.
+std::vector<image_id> sharded_path(const sharded_database& sharded,
+                                   access_path_kind kind,
+                                   const symbolic_image& query, int pad) {
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
+  std::vector<image_id> out;
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    const access_path_context ctx{&sharded.shard_db(s),
+                                  &sharded.shard_spatial(s),
+                                  &sharded.shard_hybrid(s)};
+    for (image_id local : make_access_path(kind, ctx)->generate(
+             path_probe{&query, symbols, pad})) {
+      out.push_back(sharded.shard_global_ids(s)[local]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(ShardedDatabase, PrefiltersMatchUnsharded) {
+  // Shards partition the records, so the union of each shard's spatial
+  // candidates IS the flat database's set, for every spatial path.
   const image_database db = sibling_corpus(20);
   const spatial_index spatial(db);
+  const hybrid_index hybrid(db);
+  const access_path_context flat{&db, &spatial, &hybrid};
   for (std::size_t shards : kShardCounts) {
     const sharded_database sharded = make_sharded(db, shards);
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
       const symbolic_image query = distorted_query(db, seed, 0.8);
+      const std::vector<symbol_id> symbols = distinct_symbols(query);
       for (int pad : {0, 8, 32}) {
-        EXPECT_EQ(window_candidates(sharded, query, pad),
-                  window_candidates(spatial, query, pad))
-            << "shards=" << shards << " pad=" << pad;
-        EXPECT_EQ(combined_candidates(sharded, query, pad),
-                  combined_candidates(db, spatial, query, pad))
-            << "shards=" << shards << " pad=" << pad;
+        for (access_path_kind kind :
+             {access_path_kind::rtree_window, access_path_kind::combined,
+              access_path_kind::hybrid}) {
+          EXPECT_EQ(sharded_path(sharded, kind, query, pad),
+                    make_access_path(kind, flat)
+                        ->generate(path_probe{&query, symbols, pad}))
+              << "shards=" << shards << " pad=" << pad << " "
+              << to_string(kind);
+        }
       }
     }
   }
@@ -207,6 +236,11 @@ TEST_P(ShardEquivalence, EveryKernelThreadsAndShardCount) {
           EXPECT_EQ(shard_stats.scanned, flat_stats.scanned);
           EXPECT_EQ(shard_stats.scored + shard_stats.pruned,
                     shard_stats.scanned);
+          // One serial shard IS the flat scan: every counter matches.
+          if (shards == 1 && threads == 1) {
+            EXPECT_TRUE(testsupport::same_counters(shard_stats, flat_stats))
+                << "pruning=" << pruning << " exact=" << sim.exact_lcs;
+          }
         }
       }
     }
@@ -239,8 +273,11 @@ TEST_P(ShardEquivalence, ExplicitCandidateSets) {
   const spatial_index spatial(db);
   const symbolic_image query = distorted_query(db, GetParam(), 0.8);
   const be_string2d strings = encode(query);
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
   const std::vector<image_id> candidates =
-      combined_candidates(db, spatial, query, 16);
+      make_access_path(access_path_kind::combined,
+                       access_path_context{&db, &spatial, nullptr})
+          ->generate(path_probe{&query, symbols, 16});
   for (std::size_t shards : kShardCounts) {
     const sharded_database sharded = make_sharded(db, shards);
     for (bool pruning : {false, true}) {

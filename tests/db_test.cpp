@@ -6,9 +6,10 @@
 #include <fstream>
 #include <iterator>
 
-#include "db/prefilter.hpp"
+#include "db/access_path.hpp"
 #include "db/query.hpp"
 #include "db/segment.hpp"
+#include "db/spatial_index.hpp"
 #include "db/storage.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
@@ -237,11 +238,14 @@ TEST(SearchCandidates, HonorsPruningAndThreads) {
             search_candidates(db, query, half, tuned));
 }
 
-TEST(Prefilter, IntersectCandidatesIsSortedIntersection) {
-  const std::vector<image_id> a = {1, 3, 5, 9};
-  const std::vector<image_id> b = {3, 4, 9, 12};
-  EXPECT_EQ(intersect_candidates(a, b), (std::vector<image_id>{3, 9}));
-  EXPECT_TRUE(intersect_candidates(a, {}).empty());
+// One spatial access path's candidates for `query` at `pad`.
+std::vector<image_id> path_candidates(access_path_kind kind,
+                                      const image_database& db,
+                                      const spatial_index& index,
+                                      const symbolic_image& query, int pad) {
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
+  return make_access_path(kind, access_path_context{&db, &index, nullptr})
+      ->generate(path_probe{&query, symbols, pad});
 }
 
 TEST(Prefilter, WindowCandidatesFindsJitteredIconsWithinPad) {
@@ -257,13 +261,14 @@ TEST(Prefilter, WindowCandidatesFindsJitteredIconsWithinPad) {
   // symbol.
   symbolic_image moved(100, 100);
   moved.add(names.id_of("A"), rect::checked(22, 32, 10, 20));
-  EXPECT_EQ(window_candidates(index, moved, 4),
+  constexpr access_path_kind window = access_path_kind::rtree_window;
+  EXPECT_EQ(path_candidates(window, db, index, moved, 4),
             (std::vector<image_id>{0}));
-  EXPECT_TRUE(window_candidates(index, moved, 0).empty());
+  EXPECT_TRUE(path_candidates(window, db, index, moved, 0).empty());
   symbolic_image wrong_symbol(100, 100);
   wrong_symbol.add(names.intern("B"), rect::checked(10, 20, 10, 20));
-  EXPECT_TRUE(window_candidates(index, wrong_symbol, 50).empty());
-  EXPECT_THROW((void)window_candidates(index, moved, -1),
+  EXPECT_TRUE(path_candidates(window, db, index, wrong_symbol, 50).empty());
+  EXPECT_THROW((void)path_candidates(window, db, index, moved, -1),
                std::invalid_argument);
 }
 
@@ -301,12 +306,17 @@ TEST(Prefilter, CombinedRecallVsExhaustiveOn200Scenes) {
     const be_string2d strings = encode(query);
 
     const std::vector<image_id> symbol_set = db.candidates(query);
-    const std::vector<image_id> window_set =
-        window_candidates(index, query, pad);
-    const std::vector<image_id> combined =
-        combined_candidates(db, index, query, pad);
-    // The intersection is exactly symbol ∩ window and no looser than either.
-    EXPECT_EQ(combined, intersect_candidates(symbol_set, window_set));
+    const std::vector<image_id> window_set = path_candidates(
+        access_path_kind::rtree_window, db, index, query, pad);
+    const std::vector<image_id> combined = path_candidates(
+        access_path_kind::combined, db, index, query, pad);
+    // The intersection is exactly symbol ∩ window (sorted, unique) and no
+    // looser than either.
+    std::vector<image_id> intersection;
+    std::set_intersection(symbol_set.begin(), symbol_set.end(),
+                          window_set.begin(), window_set.end(),
+                          std::back_inserter(intersection));
+    EXPECT_EQ(combined, intersection);
     EXPECT_LE(combined.size(), std::min(symbol_set.size(), window_set.size()));
     combined_total += combined.size();
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "geometry/rect.hpp"
 #include "util/rng.hpp"
@@ -158,6 +159,34 @@ const std::vector<golden_fixture>& golden_fixtures() {
              << " tokens, outside [" << 2 * object_count << ", "
              << 4 * object_count + 1 << "]";
     }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_counters(const search_stats& got,
+                                         const search_stats& want) {
+  const std::pair<const char*, std::pair<std::size_t, std::size_t>> fields[] = {
+      {"scanned", {got.scanned, want.scanned}},
+      {"scored", {got.scored, want.scored}},
+      {"pruned", {got.pruned, want.pruned}},
+      {"band_rejected", {got.band_rejected, want.band_rejected}},
+      {"candidates_generated",
+       {got.candidates_generated, want.candidates_generated}},
+      {"cache_hits", {got.cache_hits, want.cache_hits}},
+      {"cache_misses", {got.cache_misses, want.cache_misses}},
+      {"cache_delta_refreshes",
+       {got.cache_delta_refreshes, want.cache_delta_refreshes}},
+      {"cache_delta_rescored",
+       {got.cache_delta_rescored, want.cache_delta_rescored}},
+  };
+  for (const auto& [name, values] : fields) {
+    if (values.first != values.second) {
+      return ::testing::AssertionFailure()
+             << name << ": " << values.first << " != " << values.second;
+    }
+  }
+  if (got.plans != want.plans) {
+    return ::testing::AssertionFailure() << "plans differ";
   }
   return ::testing::AssertionSuccess();
 }

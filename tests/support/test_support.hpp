@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/be_string.hpp"
+#include "db/query.hpp"
 #include "symbolic/alphabet.hpp"
 #include "symbolic/symbolic_image.hpp"
 #include "workload/scene_gen.hpp"
@@ -61,5 +62,12 @@ struct golden_fixture {
 // (a 0-object axis is the single-dummy string).
 [[nodiscard]] ::testing::AssertionResult be_string_invariants(
     const be_string2d& s, std::size_t object_count);
+
+// Every deterministic search_stats counter of `got` equals `want`'s:
+// scanned, scored, pruned, band_rejected, candidates_generated, the plans,
+// and the four cache_* outcomes. A one-shard search must meet this against
+// the flat search over the same records at threads == 1.
+[[nodiscard]] ::testing::AssertionResult same_counters(
+    const search_stats& got, const search_stats& want);
 
 }  // namespace bes::testsupport
