@@ -2,12 +2,13 @@
 // the in-process sharded scan it wraps.
 //
 // The coordinator's contract is "invisible in the answer"; this bench pins
-// down what the wire costs. Three measurements per row:
+// down what the wire costs. Two measurements per row:
 //   - in-process: sharded_database::search, the floor the service sits on;
 //   - loopback: coordinator::search over a serve fleet on 127.0.0.1, i.e.
-//     framing + CRC + scatter + gather on top of the same scan;
-//   - loopback, no gossip: the same fleet with THRESHOLD frames disabled,
-//     so the table shows what the gossiped global floor saves in LCS runs.
+//     framing + CRC + scatter + gather on top of the same scan.
+// Each server scans its shard through the in-process engine, so the LCS-run
+// columns agree exactly at 1 shard; past that each remote shard defends only
+// its own top-k, where the in-process fan-out shares one.
 #include "bench_common.hpp"
 
 #include "core/encoder.hpp"
@@ -45,11 +46,10 @@ symbolic_image make_query(const image_database& db) {
 void print_scatter_table() {
   print_header("E10a: loopback scatter/gather vs in-process sharded scan",
                "the wire adds fixed per-query overhead, not a scan slowdown; "
-               "threshold gossip keeps remote LCS-run counts near the "
-               "in-process shared-top-k scan");
+               "1-shard loopback LCS runs == in-proc (the server scans "
+               "through the same engine)");
   text_table table({"images", "shards", "in-proc (ms)", "loopback (ms)",
-                    "no-gossip (ms)", "LCS in-proc", "LCS gossip",
-                    "LCS no-gossip"});
+                    "LCS in-proc", "LCS loopback"});
   for (std::size_t images : benchsupport::smoke_sweep({400u, 1600u}, 100u)) {
     const image_database db = build_db(images);
     const symbolic_image query = make_query(db);
@@ -70,39 +70,27 @@ void print_scatter_table() {
             search(sharded, strings, symbols, options, &local_stats));
       });
 
-      net::coordinator_options gossip_on;
-      net::coordinator_options gossip_off;
-      gossip_off.gossip = false;
-
-      net::loopback_cluster with(sharded, {}, gossip_on);
+      net::loopback_cluster cluster(sharded);
       net::remote_result remote;
       const double t_remote = 1e3 * time_per_call([&] {
-        remote = with.front().search(strings, symbols, options);
+        remote = cluster.front().search(strings, symbols, options);
         benchmark::DoNotOptimize(remote);
-      });
-
-      net::loopback_cluster without(sharded, {}, gossip_off);
-      net::remote_result control;
-      const double t_control = 1e3 * time_per_call([&] {
-        control = without.front().search(strings, symbols, options);
-        benchmark::DoNotOptimize(control);
       });
 
       table.add_row({std::to_string(images), std::to_string(shards),
                      fmt_double(t_local, 2), fmt_double(t_remote, 2),
-                     fmt_double(t_control, 2),
                      std::to_string(local_stats.scored),
-                     std::to_string(remote.stats.scored),
-                     std::to_string(control.stats.scored)});
+                     std::to_string(remote.stats.scored)});
     }
   }
   std::fputs(table.str().c_str(), stdout);
 }
 
 void print_batch_table() {
-  print_header("E10b: batched scatter amortizes the round trip",
-               "search_batch ships the whole query set in one frame per "
-               "shard, so per-query wire overhead shrinks with batch size");
+  print_header("E10b: concurrent scatters over one fleet",
+               "there is no batch frame: coordinator::search_batch runs up "
+               "to max_inflight scatters at once, so round trips overlap "
+               "instead of queueing one after another");
   text_table table({"images", "shards", "batch", "loop (ms/q)",
                     "batch (ms/q)"});
   const std::size_t images = benchsupport::smoke_cap<std::size_t>(800, 100);

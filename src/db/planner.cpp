@@ -89,7 +89,7 @@ std::vector<query_result> search_planned(const planner_context& ctx,
                                          search_stats* stats) {
   const db_snapshot snap = ctx.db->snapshot();
   return detail::run_query(
-      detail::shard_set(*ctx.db, ctx.spatial, ctx.hybrid),
+      detail::shard_set(*ctx.db, {}, ctx.spatial, ctx.hybrid),
       detail::scan_query{
           .strings = &query_strings, .symbols = symbols, .image = &query},
       {&snap, 1}, options, stats);
@@ -110,7 +110,7 @@ std::vector<std::vector<query_result>> search_batch_planned(
   const detail::encoded_queries encoded =
       detail::encode_queries(queries, options.threads);
   return detail::run_batch(
-      detail::shard_set(*ctx.db, ctx.spatial, ctx.hybrid),
+      detail::shard_set(*ctx.db, {}, ctx.spatial, ctx.hybrid),
       detail::batch_queries(encoded.strings, encoded.symbols, queries), {},
       options, stats);
 }

@@ -41,17 +41,7 @@ shared_topk::shared_topk(std::size_t capacity, double min_score)
     : capacity_(capacity == 0 ? std::numeric_limits<std::size_t>::max()
                               : capacity),
       min_score_(min_score),
-      kth_(min_score),
-      floor_(min_score) {}
-
-void shared_topk::raise_floor(double f) noexcept {
-  // CAS max: concurrent raises keep the largest floor ever offered, and a
-  // racing lower offer can never overwrite a higher one.
-  double current = floor_.load(std::memory_order_relaxed);
-  while (f > current && !floor_.compare_exchange_weak(
-                            current, f, std::memory_order_relaxed)) {
-  }
-}
+      kth_(min_score) {}
 
 void shared_topk::insert(const query_result& r) {
   std::lock_guard lock(mutex_);
@@ -84,7 +74,26 @@ namespace {
 
 using detail::id_map;
 using detail::result_better;
+using detail::scan_stop;
 using detail::shared_topk;
+
+// Hands [0, n) to body(begin, end) in blocks of stop->every, polling the
+// hook before each block. body returns false when the scan finished early
+// on its own (the serial pruned scan's bound cut-off). Returns how many
+// leading candidates were handed over: n unless the hook fired.
+template <class Body>
+std::size_t for_blocks(std::size_t n, scan_stop* stop, Body&& body) {
+  const std::size_t every =
+      stop != nullptr && stop->every > 0 ? stop->every : n;
+  for (std::size_t begin = 0; begin < n; begin += every) {
+    if (stop != nullptr && stop->fire && stop->fire()) {
+      stop->fired.store(true, std::memory_order_relaxed);
+      return begin;
+    }
+    if (!body(begin, std::min(n, begin + every))) break;
+  }
+  return n;
+}
 
 // Top-k scan with the two-stage admissible pruner. Stage 1: candidates are
 // visited in decreasing histogram-bound order and skipped (or, serially,
@@ -105,7 +114,8 @@ std::vector<query_result> pruned_search(const image_database& db,
                                         id_map globals,
                                         const query_options& options,
                                         shared_topk* shared,
-                                        search_stats* stats) {
+                                        search_stats* stats,
+                                        scan_stop* stop) {
   struct bounded {
     double bound;
     double y_cap;
@@ -162,25 +172,31 @@ std::vector<query_result> pruned_search(const image_database& db,
     top.insert(query_result{globals(rec.id), score, dihedral::identity});
   };
 
-  if (options.threads <= 1) {
-    // Serial fast path: bounds are sorted descending, so the first candidate
-    // below the threshold ends the scan outright. Valid per shard too: the
-    // shared threshold is monotone, so the drop only ever grows stricter.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (order[i].bound < top.threshold()) {
-        pruned.fetch_add(order.size() - i, std::memory_order_relaxed);
-        break;
-      }
-      visit(contexts[0], order[i]);
-    }
-  } else {
-    parallel_for(order.size(), options.threads,
-                 [&](unsigned worker, std::size_t i) {
-                   visit(contexts[worker], order[i]);
-                 });
-  }
+  const std::size_t visited =
+      for_blocks(order.size(), stop, [&](std::size_t begin, std::size_t end) {
+        if (options.threads <= 1) {
+          // Serial fast path: bounds are sorted descending, so the first
+          // candidate below the threshold ends the scan outright. Valid per
+          // shard too: the shared threshold is monotone, so the drop only
+          // ever grows stricter.
+          for (std::size_t i = begin; i < end; ++i) {
+            if (order[i].bound < top.threshold()) {
+              pruned.fetch_add(order.size() - i, std::memory_order_relaxed);
+              return false;
+            }
+            visit(contexts[0], order[i]);
+          }
+          return true;
+        }
+        parallel_for(end - begin, options.threads,
+                     [&](unsigned worker, std::size_t k) {
+                       visit(contexts[worker], order[begin + k]);
+                     });
+        return true;
+      });
 
   if (stats != nullptr) {
+    stats->scanned = visited;
     stats->scored = scored.load();
     stats->pruned = pruned.load();
     stats->band_rejected = band_rejected.load();
@@ -194,7 +210,8 @@ std::vector<query_result> exhaustive_search(const image_database& db,
                                             std::span<const image_id> ids,
                                             id_map globals,
                                             const query_options& options,
-                                            search_stats* stats) {
+                                            search_stats* stats,
+                                            scan_stop* stop) {
   // Transform-invariant scans need the 8 query variants; build them once for
   // the whole scan, never per record.
   query_transforms local;
@@ -206,23 +223,32 @@ std::vector<query_result> exhaustive_search(const image_database& db,
   // Per-worker contexts, same rationale as the pruned scan above.
   std::vector<lcs_context> contexts(
       parallel_workers(ids.size(), options.threads));
-  parallel_for(ids.size(), options.threads, [&](unsigned worker,
-                                                std::size_t k) {
-    const db_record& rec = db.record(ids[k]);
-    lcs_context& ctx = contexts[worker];
-    query_result r;
-    r.id = globals(rec.id);
-    if (options.transform_invariant) {
-      const transform_match best = best_transform_similarity(
-          *transforms, rec.strings, options.similarity, ctx);
-      r.score = best.score;
-      r.transform = best.transform;
-    } else {
-      r.score = similarity(query_strings, rec.strings, options.similarity, ctx);
-    }
-    hits[k] = r;
-  });
-  if (stats != nullptr) stats->scored = hits.size();
+  const std::size_t visited =
+      for_blocks(ids.size(), stop, [&](std::size_t begin, std::size_t end) {
+        parallel_for(end - begin, options.threads, [&](unsigned worker,
+                                                       std::size_t k) {
+          const db_record& rec = db.record(ids[begin + k]);
+          lcs_context& ctx = contexts[worker];
+          query_result r;
+          r.id = globals(rec.id);
+          if (options.transform_invariant) {
+            const transform_match best = best_transform_similarity(
+                *transforms, rec.strings, options.similarity, ctx);
+            r.score = best.score;
+            r.transform = best.transform;
+          } else {
+            r.score =
+                similarity(query_strings, rec.strings, options.similarity, ctx);
+          }
+          hits[begin + k] = r;
+        });
+        return true;
+      });
+  hits.resize(visited);
+  if (stats != nullptr) {
+    stats->scanned = visited;
+    stats->scored = visited;
+  }
   return detail::rank_results(std::move(hits), options);
 }
 
@@ -235,7 +261,7 @@ std::vector<query_result> scan_shard(
     std::span<const image_id> ids, id_map globals,
     const be_histogram2d* histograms, const query_transforms* transforms,
     const query_options& options, shared_topk* shared, search_stats* stats,
-    const db_snapshot* snap) {
+    const db_snapshot* snap, scan_stop* stop) {
   db_snapshot captured;
   if (snap == nullptr) {
     captured = db.snapshot();
@@ -278,24 +304,24 @@ std::vector<query_result> scan_shard(
       scan = live;
     }
   }
-  if (stats != nullptr) {
-    *stats = search_stats{};
-    stats->scanned = scan.size() + dead;
-  }
+  if (stats != nullptr) *stats = search_stats{};
   std::vector<query_result> out;
   if (pruning_applies(options)) {
     if (histograms != nullptr) {
       out = pruned_search(db, query_strings, *histograms, scan, globals,
-                          options, shared, stats);
+                          options, shared, stats, stop);
     } else {
       out = pruned_search(db, query_strings, make_histograms(query_strings),
-                          scan, globals, options, shared, stats);
+                          scan, globals, options, shared, stats, stop);
     }
   } else {
     out = exhaustive_search(db, query_strings, transforms, scan, globals,
-                            options, stats);
+                            options, stats, stop);
   }
-  if (stats != nullptr) stats->pruned += dead;
+  if (stats != nullptr) {
+    stats->scanned += dead;
+    stats->pruned += dead;
+  }
   return out;
 }
 
@@ -360,13 +386,6 @@ query_plan make_plan(const be_string2d& query_strings,
     plan.transforms = precompute_transforms(query_strings);
   }
   return plan;
-}
-
-single_plan::single_plan(const be_string2d& query_strings,
-                         const query_options& options)
-    : plan(make_plan(query_strings, options)) {
-  if (pruning_applies(options)) histograms = &plan.histograms;
-  if (options.transform_invariant) transforms = &plan.transforms;
 }
 
 encoded_queries encode_queries(std::span<const symbolic_image> queries,

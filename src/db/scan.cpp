@@ -77,7 +77,7 @@ std::vector<query_result> scan_item(const shard_view& shard, std::size_t s,
                                     const query_options& inner,
                                     shared_topk* shared,
                                     const db_snapshot& snap,
-                                    search_stats& stats) {
+                                    search_stats& stats, scan_stop* stop) {
   std::vector<image_id> generated_ids;
   std::span<const image_id> ids;
   std::size_t generated = 0;
@@ -110,7 +110,7 @@ std::vector<query_result> scan_item(const shard_view& shard, std::size_t s,
       *shard.db, *query.strings, ids, shard.globals,
       pruning_applies(options) ? &plan.histograms : nullptr,
       options.transform_invariant ? &plan.transforms : nullptr, inner, shared,
-      &stats, &snap);
+      &stats, &snap, stop);
   // scan_shard resets `stats`; the generation accounting goes on top.
   stats.candidates_generated = generated;
   if (planned.has_value()) stats.plans.push_back(*planned);
@@ -122,7 +122,7 @@ std::vector<query_result> scan_item(const shard_view& shard, std::size_t s,
 std::vector<std::vector<query_result>> run_batch(
     const shard_set& set, std::span<const scan_query> queries,
     std::span<const db_snapshot> snaps, const query_options& options,
-    std::vector<search_stats>* stats) {
+    std::vector<search_stats>* stats, scan_stop* stop) {
   const std::size_t nq = queries.size();
   const std::size_t shards = set.size();
   std::vector<db_snapshot> captured;
@@ -161,7 +161,8 @@ std::vector<std::vector<query_result>> run_batch(
         const std::size_t s = item % shards;
         parts[item] =
             scan_item(set[s], s, queries[q], plans[q], options, inner,
-                      pruned ? &heaps[q] : nullptr, snaps[s], part_stats[item]);
+                      pruned ? &heaps[q] : nullptr, snaps[s], part_stats[item],
+                      stop);
       },
       /*chunk=*/1);
 
@@ -182,10 +183,10 @@ std::vector<query_result> run_query(const shard_set& set,
                                     const scan_query& query,
                                     std::span<const db_snapshot> snaps,
                                     const query_options& options,
-                                    search_stats* stats) {
+                                    search_stats* stats, scan_stop* stop) {
   std::vector<search_stats> one;
   auto results = run_batch(set, {&query, 1}, snaps, options,
-                           stats != nullptr ? &one : nullptr);
+                           stats != nullptr ? &one : nullptr, stop);
   if (stats != nullptr) *stats = std::move(one[0]);
   return std::move(results[0]);
 }

@@ -1,12 +1,15 @@
-// The one scan engine behind every in-process search. A corpus is a shard
-// set (shard_set below): a flat image_database is the one-shard set with
-// the identity id map, a sharded_database supplies one shard per
-// partition. Every public search overload — flat, sharded, pinned, cached,
-// batched, explicit-candidate and planned, in db/query.hpp, db/shard.hpp
-// and db/planner.hpp — is a short forward into run_batch / run_query /
-// run_candidates / run_cached here, which own the fan-out and merge, the
-// (query, shard) batch queue, plan-per-shard generation, and the cached
-// lookup with delta refresh. Internal: everything here may change shape.
+// The one scan engine behind every search, in process and on a shard
+// server. A corpus is a shard set (shard_set below): a flat image_database
+// is the one-shard set, by default with the identity id map, a
+// sharded_database supplies one shard per partition. Every public search
+// overload — flat, sharded, pinned, cached, batched, explicit-candidate and
+// planned, in db/query.hpp, db/shard.hpp and db/planner.hpp — is a short
+// forward into run_batch / run_query / run_candidates / run_cached here,
+// which own the fan-out and merge, the (query, shard) batch queue,
+// plan-per-shard generation, and the cached lookup with delta refresh. The
+// shard server (net/server.hpp) is one run_query over a one-shard set with
+// its global-id map, interrupted through a scan_stop hook. Internal:
+// everything here may change shape.
 //
 // The fan-out keeps the single-database admissibility argument intact by
 // sharing ONE running top-k across every shard scan of a query: shard scans
@@ -23,6 +26,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -57,8 +61,9 @@ namespace bes::detail {
 
 // Candidate ids for an unplanned scan of one shard: the inverted-index hits
 // when the index engages, else every record id — answered through the
-// access-path interface (db/access_path.hpp), and shared by the engine and
-// the shard server so they never diverge on index-engagement rules.
+// access-path interface (db/access_path.hpp), and shared by the full scan
+// and the cached delta refresh so they never diverge on index-engagement
+// rules.
 // `generated` (if non-null) receives the raw pre-dedup hit count
 // (search_stats::candidates_generated). Defined in access_path.cpp.
 [[nodiscard]] std::vector<image_id> scan_ids(
@@ -75,19 +80,6 @@ struct query_plan {
 };
 [[nodiscard]] query_plan make_plan(const be_string2d& query_strings,
                                    const query_options& options);
-
-// One query's plan in the form scan_shard takes: each pointer is null when
-// its piece does not engage. For callers that drive scan_shard themselves
-// (the shard server's chunk loop).
-struct single_plan {
-  query_plan plan;
-  const be_histogram2d* histograms = nullptr;
-  const query_transforms* transforms = nullptr;
-
-  single_plan(const be_string2d& query_strings, const query_options& options);
-  single_plan(const single_plan&) = delete;
-  single_plan& operator=(const single_plan&) = delete;
-};
 
 // Encoded strings and distinct symbols for a batch of symbolic queries,
 // computed in parallel across the batch.
@@ -111,20 +103,10 @@ class shared_topk {
   // capacity == 0 means unlimited (min_score is then the only threshold).
   shared_topk(std::size_t capacity, double min_score);
 
-  // max(min_score, current cached k-th score, remote floor); lock-free.
+  // max(min_score, current cached k-th score); lock-free.
   [[nodiscard]] double threshold() const noexcept {
-    return std::max({min_score_, kth_.load(std::memory_order_relaxed),
-                     floor_.load(std::memory_order_relaxed)});
+    return std::max(min_score_, kth_.load(std::memory_order_relaxed));
   }
-
-  // Raises the external pruning floor (never lowers it) — the remote
-  // threshold-gossip entry point (src/net): a coordinator that already
-  // holds k results scoring >= f may broadcast f to in-flight shard scans,
-  // because any candidate below f provably has >= k better rivals
-  // somewhere in the union of shards. Lock-free; safe to call concurrently
-  // with scans reading threshold(). Callers own admissibility: an
-  // inadmissible floor silently changes results.
-  void raise_floor(double f) noexcept;
 
   void insert(const query_result& r);
 
@@ -140,15 +122,14 @@ class shared_topk {
   // Cached k-th score; only meaningful once the heap is full. Starts at
   // min_score so threshold() is min_score until then.
   std::atomic<double> kth_;
-  // Externally gossiped pruning floor (raise_floor); starts at min_score.
-  std::atomic<double> floor_;
 };
 
 // Maps scan-local record ids to the ids reported in results. Default-
 // constructed = identity (the unsharded scan). `flat` serves a loaded,
-// static mapping (the shard server); `chunked` serves a live sharded part
-// whose mapping grows under concurrent adds — chunked storage never moves,
-// so the read is safe mid-ingest where a reallocating span would not be.
+// static mapping (a shard server's global ids); `chunked` serves a live
+// sharded part whose mapping grows under concurrent adds — chunked storage
+// never moves, so the read is safe mid-ingest where a reallocating span
+// would not be.
 struct id_map {
   std::span<const image_id> flat{};
   const stable_vector<image_id>* chunked = nullptr;
@@ -157,6 +138,19 @@ struct id_map {
     if (chunked != nullptr) return (*chunked)[local];
     return flat.empty() ? local : flat[local];
   }
+};
+
+// An interrupt for running scans. Each shard scan takes its candidates in
+// blocks of `every` (0 = one block) and calls `fire` before each block;
+// once `fire` returns true that scan stops where it stands and `fired` is
+// set. A stopped scan returns the exact top-k of the candidates it visited,
+// and its stats count only those, so scanned == scored + pruned still
+// holds. One shard scan never calls `fire` concurrently with itself, but
+// the shard scans of a fan-out may.
+struct scan_stop {
+  std::size_t every = 0;
+  std::function<bool()> fire;
+  std::atomic<bool> fired{false};
 };
 
 // One shard-local scan: scores `ids` (record ids local to `db`) under
@@ -183,12 +177,14 @@ struct id_map {
 // `shared` is non-null and the pruner engages, survivors go into `shared`
 // instead and the return value is EMPTY — the caller takes the shared heap
 // once, after every scan of the query finished.
+//
+// `stop` (if non-null) may interrupt the scan between candidate blocks.
 [[nodiscard]] std::vector<query_result> scan_shard(
     const image_database& db, const be_string2d& query_strings,
     std::span<const image_id> ids, id_map globals,
     const be_histogram2d* histograms, const query_transforms* transforms,
     const query_options& options, shared_topk* shared, search_stats* stats,
-    const db_snapshot* snap = nullptr);
+    const db_snapshot* snap = nullptr, scan_stop* stop = nullptr);
 
 // ------------------------------------------------------------ shard sets
 
@@ -204,12 +200,15 @@ struct shard_view {
 
 // The corpus the engine runs over. The flat constructor holds its one view
 // inline (no allocation); the sharded one holds one view per partition.
+// A flat set's `globals` maps its results (a shard server passes its
+// global ids); id_count() and locate() read the flat set's ids as local
+// ones, so run_candidates and run_cached take only the identity map.
 class shard_set {
  public:
-  explicit shard_set(const image_database& db,
+  explicit shard_set(const image_database& db, id_map globals = {},
                      const spatial_index* spatial = nullptr,
                      const hybrid_index* hybrid = nullptr) noexcept
-      : one_{&db, {}, spatial, hybrid} {}
+      : one_{&db, globals, spatial, hybrid} {}
   explicit shard_set(const sharded_database& db);
 
   [[nodiscard]] std::span<const shard_view> shards() const noexcept {
@@ -260,17 +259,19 @@ struct scan_query {
 // shard now), so the whole batch observes ONE instant. results[q] is
 // identical to a serial single-query search at that instant; (*stats)[q]
 // sums the query's per-shard accounting, plans in shard order. Throws
-// std::invalid_argument when snaps has the wrong shard count.
+// std::invalid_argument when snaps has the wrong shard count. `stop` (if
+// non-null) is handed to every shard scan; once it fired, results hold
+// the exact top-k of what the stopped scans visited.
 [[nodiscard]] std::vector<std::vector<query_result>> run_batch(
     const shard_set& set, std::span<const scan_query> queries,
     std::span<const db_snapshot> snaps, const query_options& options,
-    std::vector<search_stats>* stats);
+    std::vector<search_stats>* stats, scan_stop* stop = nullptr);
 
 // run_batch over a one-element batch.
 [[nodiscard]] std::vector<query_result> run_query(
     const shard_set& set, const scan_query& query,
     std::span<const db_snapshot> snaps, const query_options& options,
-    search_stats* stats);
+    search_stats* stats, scan_stop* stop = nullptr);
 
 // Scores exactly the given GLOBAL-id candidates, partitioned to their
 // shards. On a flat set the caller's span is scanned as is (no copy).

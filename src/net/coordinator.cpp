@@ -79,17 +79,13 @@ unsigned remaining_ms(net_time deadline) noexcept {
 // coordinator's own deadline sweep — so `outstanding == 0` means every
 // partition is accounted for, never merely "none scattered yet".
 //
-// Lock ordering (strict): gather::m may be held while taking a link's write
-// mutex (the gossip path). NOTHING holding a link's state mutex ever waits
-// on a gather — readers erase the pending entry under the link state mutex,
-// RELEASE it, and only then touch the gather.
+// Lock ordering (strict): gather::m is never held while taking a link
+// mutex. NOTHING holding a link's state mutex ever waits on a gather —
+// readers erase the pending entry under the link state mutex, RELEASE it,
+// and only then touch the gather.
 struct gather_state {
-  gather_state(const query_options& opts, std::size_t shards,
-               double floor_seed)
-      : options(opts),
-        outstanding(shards),
-        floor(std::max(opts.min_score, floor_seed)),
-        resolved(shards, false) {
+  gather_state(const query_options& opts, std::size_t shards)
+      : options(opts), outstanding(shards), resolved(shards, false) {
     statuses.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
       statuses.push_back({static_cast<std::uint32_t>(s), shard_scan_state::ok});
@@ -105,7 +101,6 @@ struct gather_state {
   // top_k. Per-shard answers are each ranked top-k lists, so maintaining
   // the sorted-truncated union IS the exact global answer at every moment.
   std::vector<query_result> merged;
-  double floor;  // admissible global pruning floor; only ever rises
   // Union collection for the coordinator cache: when `collect` is set,
   // every per-shard result lands in `all` BEFORE the running merge
   // truncates — the union is what a cached entry stores, since the global
@@ -302,46 +297,23 @@ struct coordinator::impl {
           g.merged.resize(g.options.top_k);
         }
       }
-      // With k results gathered, their k-th score floors every candidate
-      // not yet seen ANYWHERE (it would need to beat k known rivals), so
-      // it is admissible for every shard still scanning — gossip it.
-      if (g.options.top_k > 0 && g.merged.size() == g.options.top_k &&
-          g.merged.back().score > g.floor) {
-        g.floor = g.merged.back().score;
-        if (options.gossip && !options.sequential_scatter) {
-          const frame f = encode(threshold_msg{g.query_id, g.floor});
-          for (const auto& l : links) {
-            // A shard the query frame has not reached yet just ignores the
-            // unknown id — and will see the floor inside its query anyway.
-            if (!g.resolved[l->shard] &&
-                l->alive.load(std::memory_order_relaxed)) {
-              try_send(*l, f);
-            }
-          }
-        }
-      }
     }
     g.cv.notify_all();
   }
 
   remote_result run_search(const be_string2d& query,
                            std::span<const symbol_id> query_symbols,
-                           const query_options& qopts, double floor_seed,
+                           const query_options& qopts,
                            std::vector<query_result>* union_out) {
     if (links.empty()) {
       throw std::invalid_argument("coordinator: no shard endpoints");
     }
     gate_slot slot(gate);
-    auto g = std::make_shared<gather_state>(qopts, links.size(), floor_seed);
+    auto g = std::make_shared<gather_state>(qopts, links.size());
     g->collect = union_out != nullptr;
     g->query_id = next_query_id.fetch_add(1, std::memory_order_relaxed);
-    const net_time deadline = deadline_in(options.default_deadline_ms);
-
-    if (options.sequential_scatter) {
-      run_sequential(g, query, query_symbols, qopts, deadline);
-    } else {
-      run_scattered(g, query, query_symbols, qopts, deadline);
-    }
+    run_scattered(g, query, query_symbols, qopts,
+                  deadline_in(options.default_deadline_ms));
 
     remote_result out;
     std::lock_guard lock(g->m);
@@ -353,56 +325,37 @@ struct coordinator::impl {
     return out;
   }
 
-  // The cached front door search()/search_batch() go through. A full hit
-  // serves from the stored union without touching a socket; a partial hit
-  // (request deeper than the stored gather) re-scatters with the gossip
-  // floor pre-seeded from the cached k-th score — admissible, because k
-  // genuine record scores sit at or above it — and counts as a delta
-  // refresh. Only non-degraded gathers are stored.
+  // The cached front door search()/search_batch() go through. A hit serves
+  // from the stored union without touching a socket; anything else — no
+  // entry, or a request deeper than the stored gather — is a miss that
+  // re-scatters. Only non-degraded gathers are stored.
   remote_result run_cached(const be_string2d& query,
                            std::span<const symbol_id> query_symbols,
                            const query_options& qopts) {
     if (cache == nullptr) {
-      return run_search(query, query_symbols, qopts, qopts.min_score, nullptr);
+      return run_search(query, query_symbols, qopts, nullptr);
     }
     const cache_key key = make_cache_key(
         query, query_symbols, qopts, cache_scope::remote,
         static_cast<std::uint32_t>(links.size()), /*ring_replicas=*/0,
         /*key_top_k=*/false);
-    double floor_seed = qopts.min_score;
-    bool partial = false;
-    if (std::optional<cache_entry> entry = cache->find(key)) {
-      std::vector<query_result> stored = std::move(entry->results);
-      from_canonical_frame(stored, key.canon);
-      const bool serveable =
-          entry->gathered_k == 0 ||
-          (qopts.top_k != 0 && qopts.top_k <= entry->gathered_k);
-      if (serveable) {
-        cache->note_hit();
-        remote_result out;
-        out.results = detail::rank_results(std::move(stored), qopts);
-        out.stats.cache_hits = 1;
-        return out;
-      }
-      partial = true;
-      if (options.gossip && qopts.top_k != 0 &&
-          stored.size() >= qopts.top_k) {
-        std::sort(stored.begin(), stored.end(), detail::result_better);
-        floor_seed = std::max(floor_seed, stored[qopts.top_k - 1].score);
-      }
+    std::optional<cache_entry> entry = cache->find(key);
+    if (entry.has_value() &&
+        (entry->gathered_k == 0 ||
+         (qopts.top_k != 0 && qopts.top_k <= entry->gathered_k))) {
+      cache->note_hit();
+      remote_result out;
+      out.results = std::move(entry->results);
+      from_canonical_frame(out.results, key.canon);
+      out.results = detail::rank_results(std::move(out.results), qopts);
+      out.stats.cache_hits = 1;
+      return out;
     }
 
     std::vector<query_result> gathered;
-    remote_result out =
-        run_search(query, query_symbols, qopts, floor_seed, &gathered);
-    if (partial) {
-      cache->note_delta_refresh(out.stats.scored);
-      out.stats.cache_delta_refreshes = 1;
-      out.stats.cache_delta_rescored = out.stats.scored;
-    } else {
-      cache->note_miss();
-      out.stats.cache_misses = 1;
-    }
+    remote_result out = run_search(query, query_symbols, qopts, &gathered);
+    cache->note_miss();
+    out.stats.cache_misses = 1;
     if (!out.stats.degraded) {
       cache_entry fresh;
       fresh.results = std::move(gathered);
@@ -414,25 +367,17 @@ struct coordinator::impl {
     return out;
   }
 
-  [[nodiscard]] query_msg base_query(const gather_state& g,
-                                     const be_string2d& query,
-                                     std::span<const symbol_id> query_symbols,
-                                     const query_options& qopts) const {
-    query_msg qm;
-    qm.query_id = g.query_id;
-    qm.options = qopts;
-    qm.query = query;
-    qm.query_symbols.assign(query_symbols.begin(), query_symbols.end());
-    qm.floor = qopts.min_score;
-    return qm;
-  }
-
   void run_scattered(const std::shared_ptr<gather_state>& g,
                      const be_string2d& query,
                      std::span<const symbol_id> query_symbols,
                      const query_options& qopts, net_time deadline) {
-    query_msg qm = base_query(*g, query, query_symbols, qopts);
+    query_msg qm;
+    qm.query_id = g->query_id;
     qm.deadline_ms = remaining_ms(deadline);
+    qm.options = qopts;
+    qm.query = query;
+    qm.query_symbols.assign(query_symbols.begin(), query_symbols.end());
+    const frame query_frame = encode(qm);
 
     // Scatter. Shards that cannot even be reached resolve as failed
     // immediately; the rest owe us a result frame.
@@ -449,16 +394,10 @@ struct coordinator::impl {
         }
         l->pending.emplace(g->query_id, g);
       }
-      if (options.gossip) {
-        // A shard scattered late starts with whatever floor the early
-        // answers already established.
-        std::lock_guard lock(g->m);
-        qm.floor = g->floor;
-      }
       bool sent = true;
       try {
         std::lock_guard lock(l->write_m);
-        write_frame(l->sock, encode(qm));
+        write_frame(l->sock, query_frame);
       } catch (const net_error&) {
         sent = false;
       }
@@ -478,8 +417,7 @@ struct coordinator::impl {
 
     // Deadline: cancel stragglers (best effort) and strike them from the
     // pending maps so a late answer is dropped, not merged. The gather
-    // lock is released first — link mutexes are never taken under it
-    // except on the leaf write path.
+    // lock is released first — link mutexes are never taken under it.
     lock.unlock();
     const frame cancel = encode(cancel_msg{g->query_id});
     for (const auto& l : links) {
@@ -490,71 +428,6 @@ struct coordinator::impl {
     lock.lock();
     for (const auto& l : links) {
       resolve_locked(*g, l->shard, shard_scan_state::timed_out);
-    }
-  }
-
-  // Shard-by-shard scatter: each QUERY frame carries the floor the previous
-  // shards' answers established, so pruning is deterministic run to run —
-  // the mode the gossip-effectiveness test pins down. No THRESHOLD frames:
-  // by the time a shard scans, its floor already rode in on the query.
-  void run_sequential(const std::shared_ptr<gather_state>& g,
-                      const be_string2d& query,
-                      std::span<const symbol_id> query_symbols,
-                      const query_options& qopts, net_time deadline) {
-    query_msg qm = base_query(*g, query, query_symbols, qopts);
-
-    for (const auto& l : links) {
-      if (deadline != no_deadline() && net_clock::now() >= deadline) {
-        resolve_shard(*g, l->shard, shard_scan_state::timed_out);
-        continue;
-      }
-      if (!ensure_link(*l)) {
-        resolve_shard(*g, l->shard, shard_scan_state::failed);
-        continue;
-      }
-      {
-        std::lock_guard lock(l->state_m);
-        if (!l->alive.load(std::memory_order_relaxed)) {
-          resolve_shard(*g, l->shard, shard_scan_state::failed);
-          continue;
-        }
-        l->pending.emplace(g->query_id, g);
-      }
-      if (options.gossip) {
-        std::lock_guard lock(g->m);
-        qm.floor = g->floor;
-      }
-      qm.deadline_ms = remaining_ms(deadline);
-      bool sent = true;
-      try {
-        std::lock_guard lock(l->write_m);
-        write_frame(l->sock, encode(qm));
-      } catch (const net_error&) {
-        sent = false;
-      }
-      if (!sent) {
-        if (take_pending(*l, g->query_id)) {
-          resolve_shard(*g, l->shard, shard_scan_state::failed);
-        }
-        continue;
-      }
-      std::unique_lock lock(g->m);
-      const auto answered = [&] { return g->resolved[l->shard]; };
-      bool got;
-      if (deadline == no_deadline()) {
-        g->cv.wait(lock, answered);
-        got = true;
-      } else {
-        got = g->cv.wait_until(lock, deadline, answered);
-      }
-      if (!got) {
-        lock.unlock();
-        if (take_pending(*l, g->query_id)) {
-          try_send(*l, encode(cancel_msg{g->query_id}));
-        }
-        lock.lock();
-        resolve_locked(*g, l->shard, shard_scan_state::timed_out);
-      }
     }
   }
 };

@@ -1,16 +1,8 @@
 // The scatter/gather coordinator: fans a query out to every shard server,
 // gathers per-shard top-k answers, and merges them exactly as the
-// in-process sharded search does (concat + rank). Two properties carry over
-// from db/scan.hpp's admissibility argument:
-//
-//  * Correctness: each shard defends its own top-k, and the global top-k is
-//    a subset of the union of per-shard top-ks, so the merge is
-//    bit-identical to the unsharded scan — gossip or no gossip.
-//  * Pruning: once the coordinator holds k gathered results, their k-th
-//    score is an admissible floor for EVERY shard still scanning (any
-//    candidate below it already has >= k better rivals in the union), so it
-//    is gossiped to in-flight shards via THRESHOLD frames, shrinking their
-//    remaining work without changing their answers.
+// in-process sharded search does (concat + rank). Each shard defends its
+// own top-k, and the global top-k is a subset of the union of per-shard
+// top-ks, so the merge is bit-identical to the unsharded scan.
 //
 // Failure policy: a shard that dies, hangs past the deadline, rejects, or
 // expires mid-scan degrades the answer instead of sinking it — the merged
@@ -43,22 +35,14 @@ struct coordinator_options {
   // Admission control: queries in flight through this coordinator at once;
   // also the worker count for search_batch.
   unsigned max_inflight = 4;
-  // Gossip the running global k-th score to in-flight shards. Off: shards
-  // prune only against their own local top-k (still exact, more work).
-  bool gossip = true;
-  // Scatter shard-by-shard instead of all-at-once, embedding the running
-  // floor in each QUERY frame. Slower (no overlap) but every run prunes
-  // identically — the mode the gossip-effectiveness tests pin down.
-  bool sequential_scatter = false;
   // Coordinator-side result cache (db/result_cache.hpp): > 0 enables a
   // cache of that many entries, so a repeated query short-circuits before
   // touching any socket. Remote corpora are immutable while served, so
   // entries have no epoch cut; call invalidate_cache() when the fleet's
   // corpus or topology changes. Entries store the gathered per-shard UNION
   // (pre-truncation), keyed without top_k: one entry serves any request
-  // whose top_k fits within the depth it was gathered at, and a deeper
-  // request re-scatters with the gossip floor pre-seeded from the cached
-  // k-th score (the THRESHOLD frames start a round ahead). Only
+  // whose top_k fits within the depth it was gathered at; a deeper request
+  // is a plain miss that re-scatters and replaces the entry. Only
   // non-degraded answers are cached.
   std::size_t cache_entries = 0;
 };
@@ -102,10 +86,8 @@ class coordinator {
   // Asks every reachable shard server to stop (best effort).
   void shutdown_servers();
 
-  // Counters of the coordinator-side cache (all zero when disabled).
-  // Partial hits that re-scattered with a seeded floor count as
-  // delta_refreshes, with delta_rescored totaling the records the re-scatter
-  // scored.
+  // Counters of the coordinator-side cache (all zero when disabled). Remote
+  // entries are never refreshed, so delta_refreshes stays zero.
   [[nodiscard]] result_cache_stats cache_stats() const noexcept;
 
   // Drops every cached entry. Call when the served corpus changes (reshard,

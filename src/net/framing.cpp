@@ -29,7 +29,6 @@ std::string_view to_string(frame_type type) noexcept {
     case frame_type::hello: return "hello";
     case frame_type::hello_ok: return "hello_ok";
     case frame_type::query: return "query";
-    case frame_type::threshold: return "threshold";
     case frame_type::cancel: return "cancel";
     case frame_type::result: return "result";
     case frame_type::error: return "error";
@@ -43,8 +42,9 @@ std::string_view to_string(frame_type type) noexcept {
 }
 
 bool known_frame_type(std::uint32_t raw) noexcept {
-  return raw >= static_cast<std::uint32_t>(frame_type::hello) &&
-         raw <= static_cast<std::uint32_t>(frame_type::symbols);
+  // to_string names exactly the frame types in use, so retired and
+  // out-of-range values alike read as unknown.
+  return to_string(static_cast<frame_type>(raw)) != "?";
 }
 
 std::vector<std::uint8_t> encode_frame(const frame& f) {

@@ -34,8 +34,8 @@ class frame_error : public net_error {
 enum class frame_type : std::uint32_t {
   hello = 1,        // client → server: magic + protocol version
   hello_ok = 2,     // server → client: version + shard identity
-  query = 3,        // client → server: encoded query + options + floor
-  threshold = 4,    // client → server: gossiped global k-th score
+  query = 3,        // client → server: encoded query + options
+  // 4 was protocol v1's THRESHOLD; retired, it reads as an unknown type.
   cancel = 5,       // client → server: abandon a query (deadline passed)
   result = 6,       // server → client: status + results + stats
   error = 7,        // server → client: per-query or connection error text

@@ -218,19 +218,11 @@ frame encode(const query_msg& m) {
   payload_writer w;
   w.u64(m.query_id);
   w.u32(m.deadline_ms);
-  w.f64(m.floor);
   write_options(w, m.options);
   w.tokens(m.query.x.tokens());
   w.tokens(m.query.y.tokens());
   w.symbol_ids(m.query_symbols);
   return {frame_type::query, std::move(w).take()};
-}
-
-frame encode(const threshold_msg& m) {
-  payload_writer w;
-  w.u64(m.query_id);
-  w.f64(m.floor);
-  return {frame_type::threshold, std::move(w).take()};
 }
 
 frame encode(const cancel_msg& m) {
@@ -303,21 +295,10 @@ query_msg decode_query(const frame& f) {
   query_msg m;
   m.query_id = r.u64();
   m.deadline_ms = r.u32();
-  m.floor = r.f64();
   m.options = read_options(r);
   m.query.x = axis_string(r.tokens());
   m.query.y = axis_string(r.tokens());
   m.query_symbols = r.symbol_ids();
-  r.expect_end();
-  return m;
-}
-
-threshold_msg decode_threshold(const frame& f) {
-  expect_type(f, frame_type::threshold);
-  payload_reader r(f.payload);
-  threshold_msg m;
-  m.query_id = r.u64();
-  m.floor = r.f64();
   r.expect_end();
   return m;
 }

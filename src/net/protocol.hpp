@@ -18,7 +18,8 @@ namespace bes::net {
 
 // 'BESQ' — rejects a stray client speaking some other protocol at the port.
 inline constexpr std::uint32_t protocol_magic = 0x42455351;
-inline constexpr std::uint32_t protocol_version = 1;
+// Version 2 retired the THRESHOLD frame and query_msg's floor field.
+inline constexpr std::uint32_t protocol_version = 2;
 
 // ---------------------------------------------------------------------------
 // Codec primitives
@@ -85,15 +86,9 @@ struct hello_ok_msg {
 struct query_msg {
   std::uint64_t query_id = 0;
   std::uint32_t deadline_ms = 0;  // server-side budget; 0 = none
-  double floor = 0.0;             // gossiped global k-th at send time
   query_options options;          // threads is advisory; the server re-caps
   be_string2d query;
   std::vector<symbol_id> query_symbols;
-};
-
-struct threshold_msg {
-  std::uint64_t query_id = 0;
-  double floor = 0.0;
 };
 
 struct cancel_msg {
@@ -137,7 +132,6 @@ struct symbols_msg {
 [[nodiscard]] frame encode(const hello_msg& m);
 [[nodiscard]] frame encode(const hello_ok_msg& m);
 [[nodiscard]] frame encode(const query_msg& m);
-[[nodiscard]] frame encode(const threshold_msg& m);
 [[nodiscard]] frame encode(const cancel_msg& m);
 [[nodiscard]] frame encode(const result_msg& m);
 [[nodiscard]] frame encode(const error_msg& m);
@@ -146,7 +140,6 @@ struct symbols_msg {
 [[nodiscard]] hello_msg decode_hello(const frame& f);
 [[nodiscard]] hello_ok_msg decode_hello_ok(const frame& f);
 [[nodiscard]] query_msg decode_query(const frame& f);
-[[nodiscard]] threshold_msg decode_threshold(const frame& f);
 [[nodiscard]] cancel_msg decode_cancel(const frame& f);
 [[nodiscard]] result_msg decode_result(const frame& f);
 [[nodiscard]] error_msg decode_error(const frame& f);

@@ -1,8 +1,8 @@
 #include "net/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
-#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -10,25 +10,11 @@
 
 namespace bes::net {
 
-namespace {
-
-// CAS-max on an atomic double: the floor only ever rises.
-void raise_atomic(std::atomic<double>& target, double f) noexcept {
-  double current = target.load(std::memory_order_relaxed);
-  while (f > current && !target.compare_exchange_weak(
-                            current, f, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 // One query sitting in (or past) the admission queue. The reader thread
-// updates floor/poisoned from THRESHOLD/CANCEL frames while the executor
-// scans; both sides touch only atomics.
+// sets `poisoned` on a CANCEL frame while the executor scans.
 struct shard_server::pending_query {
   query_msg msg;
   net_time deadline = no_deadline();
-  std::atomic<double> floor{0.0};
   std::atomic<bool> poisoned{false};
 };
 
@@ -155,7 +141,6 @@ void shard_server::reader_loop(const std::shared_ptr<connection>& conn) {
           auto q = std::make_shared<pending_query>();
           q->msg = decode_query(*f);
           q->deadline = deadline_in(q->msg.deadline_ms);
-          q->floor.store(q->msg.floor, std::memory_order_relaxed);
           bool admitted = false;
           {
             std::lock_guard lock(conn->queue_mutex);
@@ -172,16 +157,6 @@ void shard_server::reader_loop(const std::shared_ptr<connection>& conn) {
             rejected.query_id = q->msg.query_id;
             rejected.status = query_status::rejected;
             send(encode(rejected));
-          }
-          break;
-        }
-        case frame_type::threshold: {
-          const threshold_msg m = decode_threshold(*f);
-          std::lock_guard lock(conn->queue_mutex);
-          const auto it = conn->pending.find(m.query_id);
-          // A threshold for an already-answered query is a benign race.
-          if (it != conn->pending.end()) {
-            raise_atomic(it->second->floor, m.floor);
           }
           break;
         }
@@ -227,6 +202,9 @@ void shard_server::reader_loop(const std::shared_ptr<connection>& conn) {
   }
   conn->queue_cv.notify_all();
   if (conn->executor.joinable()) conn->executor.join();
+  // Under conns_mutex_: request_stop shuts connection sockets down under
+  // it, so the fd is never released mid-shutdown.
+  std::lock_guard lock(conns_mutex_);
   conn->sock.close();
 }
 
@@ -242,7 +220,7 @@ void shard_server::executor_loop(const std::shared_ptr<connection>& conn) {
       conn->queue.pop_front();
     }
 
-    result_msg out = run_query(*conn, *q);
+    result_msg out = run_query(*q);
 
     {
       std::lock_guard lock(conn->queue_mutex);
@@ -258,7 +236,7 @@ void shard_server::executor_loop(const std::shared_ptr<connection>& conn) {
   }
 }
 
-result_msg shard_server::run_query(connection&, pending_query& q) {
+result_msg shard_server::run_query(pending_query& q) {
   result_msg out;
   out.query_id = q.msg.query_id;
 
@@ -266,71 +244,25 @@ result_msg shard_server::run_query(connection&, pending_query& q) {
   // The wire thread count is advisory; the server's own budget rules.
   opts.threads = options_.scan_threads;
 
-  const auto expired = [&] {
+  detail::scan_stop stop;
+  stop.every = std::max<std::size_t>(1, options_.scan_chunk);
+  stop.fire = [&] {
+    if (options_.scan_delay_ms > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options_.scan_delay_ms));
+    }
     return q.poisoned.load(std::memory_order_relaxed) ||
            (q.deadline != no_deadline() && net_clock::now() >= q.deadline);
   };
 
   try {
-    if (expired()) {
-      out.status = query_status::expired;
-      return out;
-    }
-
-    std::size_t generated = 0;
-    const std::vector<image_id> ids =
-        detail::scan_ids(db_, q.msg.query_symbols, opts, &generated);
-    out.stats.candidates_generated = generated;
-
     // Server databases are static after load; the flat span mapping holds.
-    const detail::id_map globals{.flat = global_ids_};
-    const bool pruned = detail::pruning_applies(opts);
-    // In pruned mode ONE shared top-k spans all chunks, so the k-th score
-    // earned in chunk 0 keeps pruning chunk 9 — plus whatever floor the
-    // coordinator gossips in between.
-    detail::shared_topk shared(opts.top_k, opts.min_score);
-    // Pruner histograms and transform-invariant query tables are built once
-    // per request, not once per chunk.
-    const detail::single_plan plan(q.msg.query, opts);
-    std::vector<query_result> parts;
-    bool partial = false;
-
-    const std::size_t chunk =
-        options_.scan_chunk == 0 ? 1 : options_.scan_chunk;
-    for (std::size_t begin = 0; begin < ids.size(); begin += chunk) {
-      if (options_.scan_delay_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options_.scan_delay_ms));
-      }
-      if (expired()) {
-        partial = true;
-        break;
-      }
-      if (pruned) {
-        shared.raise_floor(q.floor.load(std::memory_order_relaxed));
-      }
-      const std::size_t end = std::min(begin + chunk, ids.size());
-      const std::span<const image_id> slice(ids.data() + begin, end - begin);
-      search_stats cs;
-      std::vector<query_result> part =
-          detail::scan_shard(db_, q.msg.query, slice, globals,
-                             plan.histograms, plan.transforms, opts,
-                             pruned ? &shared : nullptr, &cs);
-      out.stats.scanned += cs.scanned;
-      out.stats.scored += cs.scored;
-      out.stats.pruned += cs.pruned;
-      out.stats.band_rejected += cs.band_rejected;
-      if (!pruned) {
-        parts.insert(parts.end(), part.begin(), part.end());
-      }
-    }
-
-    // Per-chunk ranked parts concatenate + re-rank to exactly the whole
-    // scan's answer (each chunk keeps its own top-k, and the global top-k
-    // is a subset of the union of per-chunk top-ks).
-    out.results =
-        pruned ? shared.take() : detail::rank_results(std::move(parts), opts);
-    out.status = partial ? query_status::expired : query_status::ok;
+    out.results = detail::run_query(
+        detail::shard_set(db_, detail::id_map{.flat = global_ids_}),
+        detail::scan_query{.strings = &q.msg.query,
+                           .symbols = q.msg.query_symbols},
+        {}, opts, &out.stats, &stop);
+    out.status = stop.fired.load() ? query_status::expired : query_status::ok;
   } catch (...) {
     out.results.clear();
     out.status = query_status::failed;

@@ -4,13 +4,13 @@
 // queue per connection — a full queue answers `rejected` immediately rather
 // than letting latency pile up invisibly.
 //
-// Scans run CHUNKED: the executor hands `scan_chunk` candidate ids at a time
-// to the same detail::scan_shard engine the in-process search uses, and
-// between chunks it (a) folds the latest gossiped threshold into the scan's
-// pruning floor and (b) checks the query's deadline/cancel poison flag.
-// Chunking costs nothing in exactness — per-chunk top-k concat + re-rank
-// equals the whole-scan top-k — and it is what makes a remote THRESHOLD
-// frame actually shrink work mid-flight, and a CANCEL actually stop it.
+// A query is one detail::run_query (db/scan.hpp) over a one-shard set that
+// maps results to global ids: the same engine, candidate rule, bound order
+// and pruning as the in-process search, so a 1-shard fleet does exactly the
+// in-process work. The engine calls the scan's stop hook every
+// `scan_chunk` candidates, and the hook checks the query's deadline and
+// CANCEL flag; a scan it stops answers `expired` with the exact top-k of
+// what it visited.
 #pragma once
 
 #include <atomic>
@@ -30,11 +30,12 @@ namespace bes::net {
 struct server_options {
   std::uint16_t port = 0;        // 0 = ephemeral; shard_server::port() tells
   unsigned scan_threads = 1;     // worker threads per scan (caps wire value)
-  std::size_t scan_chunk = 1024; // candidate ids per deadline/gossip check
+  std::size_t scan_chunk = 1024; // candidates per deadline/cancel check
   std::size_t max_queue = 16;    // admission: queued queries per connection
   std::uint32_t max_payload = default_max_payload;
-  // Test hook: sleep this long before every chunk, making "the deadline
-  // passes mid-scan" reproducible without a huge corpus.
+  // Test hook: sleep this long before every block of scan_chunk
+  // candidates, making "the deadline passes mid-scan" reproducible without
+  // a huge corpus.
   unsigned scan_delay_ms = 0;
 };
 
@@ -77,7 +78,7 @@ class shard_server {
   void accept_loop();
   void reader_loop(const std::shared_ptr<connection>& conn);
   void executor_loop(const std::shared_ptr<connection>& conn);
-  [[nodiscard]] result_msg run_query(connection& conn, pending_query& q);
+  [[nodiscard]] result_msg run_query(pending_query& q);
 
   const image_database& db_;
   std::vector<image_id> global_ids_;

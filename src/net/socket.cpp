@@ -193,27 +193,30 @@ tcp_listener::tcp_listener(std::uint16_t port, const std::string& bind_host) {
 tcp_listener::~tcp_listener() { close(); }
 
 void tcp_listener::close() noexcept {
-  if (fd_ >= 0) {
+  // Exchange, not test-then-store: close() runs on another thread while
+  // the accept loop reads fd_.
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() first so a thread blocked in accept()'s poll wakes up.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 
 tcp_socket tcp_listener::accept(unsigned timeout_ms) {
-  if (fd_ < 0) return tcp_socket{};
+  const int listen_fd = fd_.load();
+  if (listen_fd < 0) return tcp_socket{};
   bool ready;
   try {
-    ready = wait_ready(fd_, POLLIN, deadline_in(timeout_ms));
+    ready = wait_ready(listen_fd, POLLIN, deadline_in(timeout_ms));
   } catch (const net_error&) {
     // close() from another thread invalidates the fd mid-poll (EBADF);
     // report that as "no connection" like a timeout, not a hard error.
-    if (fd_ < 0) return tcp_socket{};
+    if (fd_.load() < 0) return tcp_socket{};
     throw;
   }
   if (!ready) return tcp_socket{};
-  const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
   if (fd < 0) {
     if (errno == EINTR || errno == ECONNABORTED || errno == EINVAL ||
         errno == EBADF) {

@@ -5,6 +5,7 @@
 // masks, so the library composes with whatever the host process does.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -87,10 +88,11 @@ class tcp_listener {
   // on timeout or after close(); throws net_error on listener failure.
   [[nodiscard]] tcp_socket accept(unsigned timeout_ms);
 
+  // Safe to call from another thread while accept() waits.
   void close() noexcept;
 
  private:
-  int fd_ = -1;
+  std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
 };
 

@@ -690,14 +690,14 @@ TEST(CacheCoordinator, LoopbackHitsServeTheGatheredUnionExactly) {
   EXPECT_EQ(third.results, search(flat, query, shallow));
   EXPECT_EQ(third.stats.cache_hits, 1u);
 
-  // A DEEPER request cannot be: it re-scatters (counted as a refresh) with
-  // the cached union seeding the gossip floor, and must still be exact.
+  // A DEEPER request cannot be: it is a plain miss that re-scatters, and
+  // must still be exact.
   query_options deep = qopts;
   deep.top_k = 9;
   const net::remote_result fourth = cluster.front().search(strings, symbols,
                                                            deep);
   EXPECT_EQ(fourth.results, search(flat, query, deep));
-  EXPECT_EQ(fourth.stats.cache_delta_refreshes, 1u);
+  EXPECT_EQ(fourth.stats.cache_misses, 1u);
 
   EXPECT_GE(cluster.front().cache_stats().hits, 2u);
   cluster.front().invalidate_cache();

@@ -199,6 +199,66 @@ TEST_F(CorruptionBattery, OversizedDeclaredLengthIsRefusedNotAllocated) {
   EXPECT_TRUE(server_is_healthy(server_->port(), db_.symbols().size()));
 }
 
+TEST_F(CorruptionBattery, V1HelloAndRetiredThresholdFrameFailClosed) {
+  // Each session must end in an error frame and a hangup, never in a
+  // scan: a protocol v1 client is refused at the handshake, and a frame of
+  // the type v1 used for THRESHOLD is unknown to a v2 server.
+  // Reads until the server hangs up and returns how many connection-scoped
+  // error frames arrived; any other frame fails the test. (A hangup with
+  // unread client bytes may surface as a reset instead of a clean EOF.)
+  const auto frames_until_hangup = [](net::tcp_socket& sock,
+                                      const char* what) {
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t errors = 0;
+    try {
+      for (auto reply = net::read_frame(sock, soon()); reply.has_value();
+           reply = net::read_frame(sock, soon())) {
+        EXPECT_EQ(reply->type, net::frame_type::error) << what;
+        if (reply->type == net::frame_type::error) {
+          EXPECT_EQ(net::decode_error(*reply).query_id, 0u) << what;
+          ++errors;
+        }
+      }
+    } catch (const net::net_error&) {
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(4))
+        << what << ": the server kept the connection open";
+    return errors;
+  };
+  {
+    net::tcp_socket sock =
+        net::tcp_socket::connect("127.0.0.1", server_->port(), 2000);
+    net::hello_msg v1;
+    v1.version = 1;
+    net::write_frame(sock, net::encode(v1));
+    EXPECT_EQ(frames_until_hangup(sock, "v1 hello"), 1u);
+  }
+  {
+    net::tcp_socket sock =
+        net::tcp_socket::connect("127.0.0.1", server_->port(), 2000);
+    net::write_frame(sock, net::encode(net::hello_msg{}));
+    ASSERT_TRUE(net::read_frame(sock, soon()).has_value());
+    // The v1 THRESHOLD body: query id + floor, behind a CRC-valid header.
+    net::payload_writer w;
+    w.u64(7);
+    w.f64(0.5);
+    const std::vector<std::uint8_t> payload = std::move(w).take();
+    std::vector<std::uint8_t> wire(net::frame_header_bytes);
+    const std::uint32_t type = 4;
+    const auto size = static_cast<std::uint32_t>(payload.size());
+    const std::uint32_t payload_crc = crc32(payload.data(), payload.size());
+    std::memcpy(wire.data(), &type, 4);
+    std::memcpy(wire.data() + 4, &size, 4);
+    std::memcpy(wire.data() + 8, &payload_crc, 4);
+    const std::uint32_t header_crc = crc32(wire.data(), 12);
+    std::memcpy(wire.data() + 12, &header_crc, 4);
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    sock.send_all(wire.data(), wire.size());
+    EXPECT_LE(frames_until_hangup(sock, "type-4 frame"), 1u);
+  }
+  EXPECT_TRUE(server_is_healthy(server_->port(), db_.symbols().size()));
+}
+
 // ------------------------------------------------- byzantine shard servers
 
 // One-connection fake servers impersonating a shard, each a different way

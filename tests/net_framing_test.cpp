@@ -1,11 +1,13 @@
 // The wire-format suite: frame round-trips over a real loopback socket,
-// then the corruption battery — every flipped header byte, a flipped
-// payload byte, truncation at each boundary, oversized declared lengths,
-// and unknown frame types must surface as frame_error/net_error, never as
-// a hang, a crash, or a silently-misread frame. The protocol codec half
+// then the corruption battery — every flipped header and payload byte of a
+// frame of every type, truncation at each boundary, oversized declared
+// lengths, and unknown (or retired) frame types must surface as
+// frame_error/net_error, never as a hang, a crash, or a silently-misread
+// frame. The protocol codec half
 // round-trips every message struct and rejects malformed payloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -43,6 +45,52 @@ socket_pair make_pair() {
 
 net_time soon() { return deadline_in(5000); }
 
+be_string2d tiny_query() {
+  be_string2d s;
+  s.x = axis_string({token::boundary(0, boundary_kind::begin), token::dummy(),
+                     token::boundary(0, boundary_kind::end)});
+  s.y = axis_string({token::boundary(1, boundary_kind::begin),
+                     token::boundary(1, boundary_kind::end)});
+  return s;
+}
+
+// One well-formed frame of every type the protocol speaks, each with the
+// smallest real payload it carries.
+std::vector<frame> one_frame_per_type() {
+  query_msg query;
+  query.query = tiny_query();
+  query.query_symbols = {0, 1};
+  result_msg result;
+  result.results = {{3, 0.5, dihedral::rot90}};
+  return {encode(hello_msg{}),
+          encode(hello_ok_msg{}),
+          encode(query),
+          encode(cancel_msg{9}),
+          encode(result),
+          encode(error_msg{1, "x"}),
+          frame{frame_type::ping, {}},
+          frame{frame_type::pong, {}},
+          frame{frame_type::shutdown, {}},
+          frame{frame_type::symbols_req, {}},
+          encode(symbols_msg{{"A", "B"}})};
+}
+
+TEST(Framing, SampleFramesCoverEveryKnownType) {
+  const std::vector<frame> frames = one_frame_per_type();
+  std::size_t known = 0;
+  for (std::uint32_t raw = 0; raw < 64; ++raw) {
+    if (!known_frame_type(raw)) continue;
+    ++known;
+    EXPECT_EQ(std::count_if(frames.begin(), frames.end(),
+                            [&](const frame& f) {
+                              return static_cast<std::uint32_t>(f.type) == raw;
+                            }),
+              1)
+        << "frame type " << raw;
+  }
+  EXPECT_EQ(known, frames.size());
+}
+
 // ------------------------------------------------------------- frame I/O
 
 TEST(Framing, RoundTripsFramesBackToBack) {
@@ -76,30 +124,34 @@ TEST(Framing, CleanCloseOnFrameBoundaryIsNullopt) {
 TEST(Framing, EveryFlippedHeaderByteIsRejected) {
   // The header carries its own CRC over bytes [0, 12); flipping any of the
   // 16 bytes must break either that CRC or the CRC field itself — the
-  // declared length is never trusted from a damaged header.
-  const std::vector<std::uint8_t> good =
-      encode_frame(frame{frame_type::ping, {42}});
-  ASSERT_GE(good.size(), frame_header_bytes);
-  for (std::size_t i = 0; i < frame_header_bytes; ++i) {
-    socket_pair pair = make_pair();
-    std::vector<std::uint8_t> bad = good;
-    bad[i] ^= 0x20;
-    pair.a.send_all(bad.data(), bad.size());
-    EXPECT_THROW((void)read_frame(pair.b, soon()), frame_error)
-        << "header byte " << i;
+  // declared length is never trusted from a damaged header. Swept over a
+  // frame of every type.
+  for (const frame& f : one_frame_per_type()) {
+    const std::vector<std::uint8_t> good = encode_frame(f);
+    ASSERT_GE(good.size(), frame_header_bytes);
+    for (std::size_t i = 0; i < frame_header_bytes; ++i) {
+      socket_pair pair = make_pair();
+      std::vector<std::uint8_t> bad = good;
+      bad[i] ^= 0x20;
+      pair.a.send_all(bad.data(), bad.size());
+      EXPECT_THROW((void)read_frame(pair.b, soon()), frame_error)
+          << to_string(f.type) << " header byte " << i;
+    }
   }
 }
 
 TEST(Framing, EveryFlippedPayloadByteIsRejected) {
-  const frame f{frame_type::error, {0x10, 0x20, 0x30, 0x40, 0x50}};
-  const std::vector<std::uint8_t> good = encode_frame(f);
-  for (std::size_t i = frame_header_bytes; i < good.size(); ++i) {
-    socket_pair pair = make_pair();
-    std::vector<std::uint8_t> bad = good;
-    bad[i] ^= 0x01;
-    pair.a.send_all(bad.data(), bad.size());
-    EXPECT_THROW((void)read_frame(pair.b, soon()), frame_error)
-        << "payload byte " << (i - frame_header_bytes);
+  for (const frame& f : one_frame_per_type()) {
+    const std::vector<std::uint8_t> good = encode_frame(f);
+    for (std::size_t i = frame_header_bytes; i < good.size(); ++i) {
+      socket_pair pair = make_pair();
+      std::vector<std::uint8_t> bad = good;
+      bad[i] ^= 0x01;
+      pair.a.send_all(bad.data(), bad.size());
+      EXPECT_THROW((void)read_frame(pair.b, soon()), frame_error)
+          << to_string(f.type) << " payload byte "
+          << (i - frame_header_bytes);
+    }
   }
 }
 
@@ -136,21 +188,26 @@ TEST(Framing, OversizedDeclaredLengthIsRejectedBeforeAllocation) {
 
 TEST(Framing, UnknownFrameTypeIsRejected) {
   EXPECT_FALSE(known_frame_type(0));
+  EXPECT_FALSE(known_frame_type(4));  // protocol v1's retired THRESHOLD
   EXPECT_FALSE(known_frame_type(999));
   EXPECT_TRUE(known_frame_type(static_cast<std::uint32_t>(frame_type::hello)));
   EXPECT_TRUE(
       known_frame_type(static_cast<std::uint32_t>(frame_type::symbols)));
 
-  // Hand-build a frame with type 999 and valid CRCs: the framing layer must
-  // reject it even though every checksum passes.
-  std::vector<std::uint8_t> wire = encode_frame(frame{frame_type::ping, {}});
-  const std::uint32_t bogus_type = 999;
-  std::memcpy(wire.data(), &bogus_type, 4);
-  const std::uint32_t header_crc = crc32(wire.data(), 12);
-  std::memcpy(wire.data() + 12, &header_crc, 4);
-  socket_pair pair = make_pair();
-  pair.a.send_all(wire.data(), wire.size());
-  EXPECT_THROW((void)read_frame(pair.b, soon()), frame_error);
+  // Hand-build frames of the retired type 4 and of type 999, with valid
+  // CRCs and a v1 THRESHOLD-shaped payload: the framing layer must reject
+  // them even though every checksum passes.
+  for (const std::uint32_t bogus_type : {4u, 999u}) {
+    std::vector<std::uint8_t> wire =
+        encode_frame(frame{frame_type::ping, std::vector<std::uint8_t>(16)});
+    std::memcpy(wire.data(), &bogus_type, 4);
+    const std::uint32_t header_crc = crc32(wire.data(), 12);
+    std::memcpy(wire.data() + 12, &header_crc, 4);
+    socket_pair pair = make_pair();
+    pair.a.send_all(wire.data(), wire.size());
+    EXPECT_THROW((void)read_frame(pair.b, soon()), frame_error)
+        << "type " << bogus_type;
+  }
 }
 
 TEST(Framing, ReadHonorsDeadline) {
@@ -166,15 +223,6 @@ TEST(Framing, ReadHonorsDeadline) {
 }
 
 // -------------------------------------------------------- protocol codec
-
-be_string2d tiny_query() {
-  be_string2d s;
-  s.x = axis_string({token::boundary(0, boundary_kind::begin), token::dummy(),
-                     token::boundary(0, boundary_kind::end)});
-  s.y = axis_string({token::boundary(1, boundary_kind::begin),
-                     token::boundary(1, boundary_kind::end)});
-  return s;
-}
 
 TEST(Protocol, HelloRoundTrip) {
   const hello_msg m;
@@ -203,7 +251,6 @@ TEST(Protocol, QueryRoundTripPreservesEveryOption) {
   query_msg m;
   m.query_id = 0x1122334455667788ull;
   m.deadline_ms = 1500;
-  m.floor = 0.625;
   m.options.top_k = 5;
   m.options.min_score = 0.25;
   m.options.transform_invariant = true;
@@ -217,7 +264,6 @@ TEST(Protocol, QueryRoundTripPreservesEveryOption) {
   const query_msg back = decode_query(encode(m));
   EXPECT_EQ(back.query_id, m.query_id);
   EXPECT_EQ(back.deadline_ms, m.deadline_ms);
-  EXPECT_EQ(back.floor, m.floor);
   EXPECT_EQ(back.options.top_k, m.options.top_k);
   EXPECT_EQ(back.options.min_score, m.options.min_score);
   EXPECT_EQ(back.options.transform_invariant, m.options.transform_invariant);
@@ -230,14 +276,7 @@ TEST(Protocol, QueryRoundTripPreservesEveryOption) {
   EXPECT_EQ(back.query_symbols, m.query_symbols);
 }
 
-TEST(Protocol, ThresholdCancelRoundTrip) {
-  threshold_msg t;
-  t.query_id = 31;
-  t.floor = 0.875;
-  const threshold_msg tb = decode_threshold(encode(t));
-  EXPECT_EQ(tb.query_id, t.query_id);
-  EXPECT_EQ(tb.floor, t.floor);
-
+TEST(Protocol, CancelRoundTrip) {
   cancel_msg c;
   c.query_id = 32;
   EXPECT_EQ(decode_cancel(encode(c)).query_id, c.query_id);
@@ -282,7 +321,7 @@ TEST(Protocol, ErrorAndSymbolsRoundTrip) {
 
 TEST(Protocol, DecodersRejectWrongFrameType) {
   const frame f = encode(cancel_msg{4});
-  EXPECT_THROW((void)decode_threshold(f), frame_error);
+  EXPECT_THROW((void)decode_query(f), frame_error);
   EXPECT_THROW((void)decode_result(f), frame_error);
   EXPECT_THROW((void)decode_hello(f), frame_error);
 }
@@ -312,7 +351,7 @@ TEST(Protocol, OutOfRangeEnumsAreRejected) {
   // Flag byte > 1 (transform_invariant lives right after top_k + min_score).
   {
     frame f = encode(query_msg{});
-    f.payload[8 + 4 + 8 + 8 + 8] = 2;
+    f.payload[8 + 4 + 8 + 8] = 2;
     EXPECT_THROW((void)decode_query(f), frame_error);
   }
   // status byte > rejected, and a dihedral byte >= 8.

@@ -4,20 +4,28 @@
 // Contract under test: the network coordinator is invisible in the answer —
 // for every kernel, shard count, and option set, coordinator::search over a
 // serve fleet returns results bit-identical to sharded_database::search
-// (and therefore to the flat unsharded scan), gossip on or off. Failure
-// modes degrade instead of lying: a dead shard, an expired scan, or a full
-// admission queue shows up in stats.degraded + shard_statuses while the
-// surviving shards' contribution stays exact.
+// (and therefore to the flat unsharded scan). Each server scans through the
+// in-process engine, so a 1-shard fleet also does exactly the in-process
+// work. Failure modes degrade instead of lying: a dead shard, an expired
+// or cancelled scan, or a full admission queue shows up in stats.degraded +
+// shard_statuses while the surviving shards' contribution stays exact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/encoder.hpp"
 #include "db/database.hpp"
 #include "db/shard.hpp"
+#include "net/framing.hpp"
 #include "net/loopback.hpp"
+#include "net/protocol.hpp"
+#include "net/server.hpp"
+#include "net/socket.hpp"
 #include "util/rng.hpp"
 #include "workload/query_gen.hpp"
 #include "workload/scene_gen.hpp"
@@ -194,22 +202,15 @@ TEST(NetService, FetchSymbolsReturnsTheMasterAlphabet) {
   EXPECT_EQ(cluster.front().fetch_symbols(), flat.symbols().names());
 }
 
-// ---------------------------------------------------------------- gossip
+// ------------------------------------------------------ one engine, wire
 
-TEST(NetService, GossipPrunesStrictlyMoreThanNoGossip) {
-  // The acceptance pin for threshold gossip: identical answers, strictly
-  // fewer LCS evaluations. sequential_scatter makes the comparison
-  // deterministic — each shard receives the exact floor earned by the
-  // shards before it, so the pruned run's scored count cannot wobble with
-  // scheduling.
-  //
-  // The corpus draws from a wide symbol pool so token histograms actually
-  // discriminate, and the query is an exact copy of a record owned by the
-  // FIRST shard in scatter order: after shard 0 answers, the gossiped floor
-  // is the perfect score, and every dissimilar candidate on shards 1 and 2
-  // dies on its histogram upper bound. Without gossip those shards must
-  // score candidates until their own local top-k earns a comparable floor —
-  // which it never does, so they provably do strictly more work.
+TEST(NetService, OneShardFleetDoesExactlyTheInProcessWork) {
+  // The server scans through the in-process engine: bounds sorted once over
+  // every candidate, then visited in blocks of scan_chunk. A chunk loop
+  // that sorted within each id-ordered chunk would score the early chunks
+  // before reaching the best match, here in the LAST chunk: the query
+  // copies the highest-id record. The wide symbol pool makes histogram
+  // bounds discriminate, so the pruning counters tell the orders apart.
   image_database flat;
   {
     rng r(77);
@@ -221,54 +222,80 @@ TEST(NetService, GossipPrunesStrictlyMoreThanNoGossip) {
                random_scene(params, r, flat.symbols()));
     }
   }
-  const sharded_database sharded = make_sharded(flat, 3);
+  const sharded_database sharded = make_sharded(flat, 1);
+  net::server_options tiny_chunks;
+  tiny_chunks.scan_chunk = 4;
+  net::loopback_cluster cluster(sharded, tiny_chunks);
 
   query_options options;
   options.top_k = 1;
   options.histogram_pruning = true;
-  options.use_index = false;  // every record is a candidate on every shard
-
-  const image_id anchor = sharded.shard_global_ids(0).front();
-  const symbolic_image query = flat.record(anchor).image;
+  options.use_index = false;  // every record is a candidate
+  const symbolic_image query =
+      flat.record(static_cast<image_id>(flat.size() - 1)).image;
   const be_string2d strings = encode(query);
   const std::vector<symbol_id> symbols = distinct_symbols(query);
 
-  net::coordinator_options gossip_on;
-  gossip_on.sequential_scatter = true;
-  gossip_on.gossip = true;
-  net::coordinator_options gossip_off = gossip_on;
-  gossip_off.gossip = false;
+  const net::remote_result remote =
+      cluster.front().search(strings, symbols, options);
+  search_stats local;
+  const std::vector<query_result> in_process =
+      search(flat, strings, symbols, options, &local);
 
-  net::loopback_cluster with(sharded, {}, gossip_on);
-  net::loopback_cluster without(sharded, {}, gossip_off);
-
-  const net::remote_result pruned = with.front().search(strings, symbols, options);
-  const net::remote_result control =
-      without.front().search(strings, symbols, options);
-
-  EXPECT_EQ(pruned.results, control.results);
-  EXPECT_EQ(pruned.results, search(sharded, strings, symbols, options));
-  EXPECT_LT(pruned.stats.scored, control.stats.scored)
-      << "gossiped floor failed to prune any remote work";
-  EXPECT_GT(pruned.stats.pruned, control.stats.pruned);
+  expect_all_ok(remote.stats, 1, "one shard");
+  EXPECT_EQ(remote.results, in_process);
+  EXPECT_EQ(remote.stats.scanned, local.scanned);
+  EXPECT_EQ(remote.stats.scored, local.scored);
+  EXPECT_EQ(remote.stats.pruned, local.pruned);
+  EXPECT_EQ(remote.stats.band_rejected, local.band_rejected);
+  EXPECT_EQ(remote.stats.candidates_generated, local.candidates_generated);
 }
 
-TEST(NetService, ConcurrentGossipKeepsAnswersExact) {
-  // Free-running gossip (the default): scored counts may wobble with
-  // scheduling, the answer must not.
+TEST(NetService, ConcurrentRemoteSearchesKeepAnswersExact) {
+  // Several threads share one coordinator (and its links), so gathers of
+  // different queries interleave on every socket; each answer must still
+  // equal the in-process search.
   const image_database flat = sibling_corpus(20);
   const sharded_database sharded = make_sharded(flat, 8);
   net::loopback_cluster cluster(sharded);
   query_options options;
   options.top_k = 3;
   options.histogram_pruning = true;
+
+  std::vector<be_string2d> strings;
+  std::vector<std::vector<symbol_id>> symbols;
+  std::vector<std::vector<query_result>> expected;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const symbolic_image query = distorted_query(flat, seed, 0.9);
-    const net::remote_result remote =
-        cluster.front().search(encode(query), distinct_symbols(query), options);
-    EXPECT_EQ(remote.results,
-              search(sharded, encode(query), distinct_symbols(query), options))
-        << "seed " << seed;
+    strings.push_back(encode(query));
+    symbols.push_back(distinct_symbols(query));
+    expected.push_back(search(sharded, strings.back(), symbols.back(),
+                              options));
+  }
+
+  std::vector<std::vector<net::remote_result>> got(4);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < strings.size(); ++i) {
+          const std::size_t q = (i + c) % strings.size();
+          got[c].push_back(cluster.front().search(strings[q], symbols[q],
+                                                  options));
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    ASSERT_EQ(got[c].size(), 2 * strings.size());
+    for (std::size_t k = 0; k < got[c].size(); ++k) {
+      const std::size_t q = (k % strings.size() + c) % strings.size();
+      EXPECT_EQ(got[c][k].results, expected[q])
+          << "client " << c << " query " << q;
+      expect_all_ok(got[c][k].stats, 8, "concurrent");
+    }
   }
 }
 
@@ -313,39 +340,127 @@ TEST(NetService, DeadShardDegradesInsteadOfSinkingTheQuery) {
   EXPECT_EQ(again.results, expected);
 }
 
+// One query sent straight to a shard server over a raw session, followed
+// by a CANCEL `cancel_after_ms` later when that is non-zero.
+net::result_msg raw_query(std::uint16_t port, const net::query_msg& qm,
+                          unsigned cancel_after_ms = 0) {
+  net::tcp_socket sock = net::tcp_socket::connect("127.0.0.1", port, 2000);
+  net::write_frame(sock, net::encode(net::hello_msg{}));
+  const auto hello = net::read_frame(sock, net::deadline_in(5000));
+  if (!hello) throw net::net_error("server hung up during the handshake");
+  (void)net::decode_hello_ok(*hello);
+  net::write_frame(sock, net::encode(qm));
+  if (cancel_after_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(cancel_after_ms));
+    net::write_frame(sock, net::encode(net::cancel_msg{qm.query_id}));
+  }
+  const auto reply = net::read_frame(sock, net::deadline_in(10000));
+  if (!reply) throw net::net_error("server hung up before the result");
+  return net::decode_result(*reply);
+}
+
+// A scan stopped mid-way must still be honest: its accounting covers only
+// what it visited (scanned == scored + pruned, fewer than every candidate),
+// and every result it returns carries the exact in-process score.
+void expect_partial_but_exact(const net::result_msg& got,
+                              const std::map<image_id, double>& scores,
+                              std::size_t candidates,
+                              const std::string& label) {
+  EXPECT_EQ(got.status, net::query_status::expired) << label;
+  EXPECT_EQ(got.stats.scanned, got.stats.scored + got.stats.pruned) << label;
+  EXPECT_LT(got.stats.scanned, candidates) << label;
+  for (const query_result& r : got.results) {
+    EXPECT_EQ(r.score, scores.at(r.id)) << label << " id " << r.id;
+  }
+}
+
 TEST(NetService, SlowShardsExpireAtTheDeadlineAndDegrade) {
   const image_database flat = sibling_corpus(16);
   const sharded_database sharded = make_sharded(flat, 3);
-  net::server_options slow;
-  slow.scan_chunk = 1;       // many chunks, each delayed…
-  slow.scan_delay_ms = 20;   // …so the budget dies mid-scan, not before it
-  net::coordinator_options tight;
-  tight.default_deadline_ms = 100;
-  net::loopback_cluster cluster(sharded, slow, tight);
-
-  query_options options;
-  options.top_k = 5;
   const symbolic_image query = distorted_query(flat, 6);
-  const net::remote_result remote =
-      cluster.front().search(encode(query), distinct_symbols(query), options);
+  const be_string2d strings = encode(query);
+  const std::vector<symbol_id> symbols = distinct_symbols(query);
 
-  EXPECT_TRUE(remote.stats.degraded);
-  ASSERT_EQ(remote.stats.shard_statuses.size(), 3u);
-  for (const shard_scan_status& status : remote.stats.shard_statuses) {
-    EXPECT_TRUE(status.state == shard_scan_state::expired ||
-                status.state == shard_scan_state::timed_out)
-        << "shard " << status.shard << " ended " << to_string(status.state);
+  // Every record's exact score, from an exhaustive in-process scan.
+  query_options everything;
+  everything.top_k = 0;
+  everything.use_index = false;
+  std::map<image_id, double> scores;
+  for (const query_result& r : search(flat, strings, symbols, everything)) {
+    scores[r.id] = r.score;
+  }
+  std::vector<image_id> identity(flat.size());
+  for (std::size_t i = 0; i < identity.size(); ++i) {
+    identity[i] = static_cast<image_id>(i);
+  }
+
+  for (const bool pruned : {true, false}) {
+    for (const unsigned threads : {1u, 2u}) {
+      const std::string label =
+          std::string(pruned ? "pruned" : "exhaustive") +
+          " threads=" + std::to_string(threads);
+      query_options options;
+      options.top_k = 5;
+      options.use_index = false;
+      options.histogram_pruning = pruned;
+
+      net::server_options slow;
+      slow.scan_threads = threads;
+      slow.scan_chunk = 1;      // many blocks, each delayed…
+      slow.scan_delay_ms = 20;  // …so the budget dies mid-scan, not before it
+
+      // Through the coordinator: the answer degrades, shard by shard.
+      {
+        net::coordinator_options tight;
+        tight.default_deadline_ms = 100;
+        net::loopback_cluster cluster(sharded, slow, tight);
+        const net::remote_result remote =
+            cluster.front().search(strings, symbols, options);
+        EXPECT_TRUE(remote.stats.degraded) << label;
+        ASSERT_EQ(remote.stats.shard_statuses.size(), 3u) << label;
+        for (const shard_scan_status& status : remote.stats.shard_statuses) {
+          EXPECT_TRUE(status.state == shard_scan_state::expired ||
+                      status.state == shard_scan_state::timed_out)
+              << label << " shard " << status.shard << " ended "
+              << to_string(status.state);
+        }
+        EXPECT_EQ(remote.stats.scanned,
+                  remote.stats.scored + remote.stats.pruned)
+            << label;
+        for (const query_result& r : remote.results) {
+          EXPECT_EQ(r.score, scores.at(r.id)) << label << " id " << r.id;
+        }
+      }
+
+      // Straight at one server, so the expired answer itself is checked:
+      // a deadline that passes after the first block or two…
+      net::shard_server server(flat, identity, 0, slow);
+      net::query_msg qm;
+      qm.query_id = 1;
+      qm.options = options;
+      qm.query = strings;
+      qm.query_symbols = symbols;
+      qm.deadline_ms = 30;
+      expect_partial_but_exact(raw_query(server.port(), qm), scores,
+                               flat.size(), label + " deadline");
+      // …and a CANCEL that lands mid-scan with no deadline at all.
+      qm.query_id = 2;
+      qm.deadline_ms = 0;
+      expect_partial_but_exact(raw_query(server.port(), qm, 60), scores,
+                               flat.size(), label + " cancel");
+    }
   }
 
   // The fleet recovers once the budget is sane again: the same query with a
   // roomy deadline is exact and un-degraded.
+  query_options options;
+  options.top_k = 5;
   net::coordinator_options roomy;
   net::loopback_cluster healthy(sharded, {}, roomy);
-  const net::remote_result ok =
-      healthy.front().search(encode(query), distinct_symbols(query), options);
+  const net::remote_result ok = healthy.front().search(strings, symbols,
+                                                       options);
   EXPECT_FALSE(ok.stats.degraded);
-  EXPECT_EQ(ok.results,
-            search(sharded, encode(query), distinct_symbols(query), options));
+  EXPECT_EQ(ok.results, search(sharded, strings, symbols, options));
 }
 
 TEST(NetService, FullAdmissionQueueRejectsInsteadOfQueueingForever) {

@@ -20,7 +20,7 @@
 //                  --update-baseline] [--bases N --objects K --seed S ...]
 //   besdb serve   --corpus corpus.scrp --shard I [--port P --threads N]
 //   besdb connect --servers host:port,host:port --sketch "..."
-//                 [--top-k K --deadline-ms MS --no-gossip --shutdown]
+//                 [--top-k K --deadline-ms MS --shutdown]
 //
 // Every subcommand prints plain-text tables to stdout. Exit codes:
 //   0  success (including --help)
@@ -780,7 +780,6 @@ int cmd_connect(arg_parser& args) {
   if (const long long ms = args.get_int("deadline-ms"); ms >= 0) {
     options.default_deadline_ms = static_cast<unsigned>(ms);
   }
-  options.gossip = !args.get_bool("no-gossip");
   if (use_cache) options.cache_entries = 1024;
   net::coordinator coord(servers, options);
 
@@ -917,8 +916,6 @@ int main(int argc, char** argv) {
                   "connect: comma-separated host:port shard server list");
   args.add_int("deadline-ms", 30000,
                "connect: per-query budget in ms (0 = wait forever)");
-  args.add_bool("no-gossip", false,
-                "connect: do not gossip the global k-th score to shards");
   args.add_bool("shutdown", false,
                 "connect: ask every server to stop instead of querying");
 
